@@ -1,14 +1,6 @@
-//! Single-queue vs region-sharded stepping: the cost and the payoff.
+//! The epoch engine against single-queue stepping: the cost and the payoff.
 //!
 //! Two families of measurements:
-//!
-//! * **Production path** — the `NetworkSim` event loop with its queue
-//!   partitioned into torus row-band shards. The order is identical at any
-//!   shard count (shared insertion sequence, global-min pop), so this
-//!   isolates the pure per-step overhead of sharding on the two workload
-//!   shapes that dominate the committed sweep: a fig05-shaped hotspot
-//!   (every node hammering node 0) and a resilience-shaped faulty run
-//!   (bisection mirror traffic over a wounded fabric).
 //!
 //! * **Epoch engine crossover** — the conservative [`EpochExecutor`]
 //!   against plain single-queue stepping on the same synthetic workload,
@@ -39,80 +31,7 @@ use std::hint::black_box;
 
 use alphasim::kernel::shard::{EpochExecutor, Outbox, ShardWorker};
 use alphasim::kernel::{DetRng, EventQueue, FaultKind, FaultPlan, SimDuration, SimTime};
-use alphasim::net::{LinkTiming, MessageClass, NetworkSim};
 use alphasim::system::{gs1280_fault_campaign, CampaignPattern, FaultCampaignConfig, Gs1280};
-use alphasim::topology::{NodeId, Torus2D};
-
-/// Drain an 8x8 torus with every node sending `per_node` requests to node 0
-/// (the fig05/fig27 hotspot shape) at the given shard count.
-fn hotspot_run(shards: usize, per_node: u64) -> u64 {
-    let mut net = NetworkSim::new(Torus2D::new(8, 8), LinkTiming::ev7_torus());
-    net.set_shards(shards);
-    for round in 0..per_node {
-        for src in 1..64usize {
-            net.send(
-                SimTime::from_ps(round * 5_000),
-                NodeId::new(src),
-                NodeId::new(0),
-                MessageClass::Request,
-                64,
-                round * 64 + src as u64,
-            );
-        }
-    }
-    net.drain();
-    net.delivered_count()
-}
-
-/// Same-row mirror traffic over an 8x8 torus with two bisection links cut
-/// mid-run (the resilience campaign's shape) at the given shard count.
-fn faulty_run(shards: usize, rounds: u64) -> u64 {
-    let mut net = NetworkSim::new(Torus2D::new(8, 8), LinkTiming::ev7_torus());
-    net.set_shards(shards);
-    for round in 0..rounds {
-        for row in 0..8usize {
-            for col in 0..4usize {
-                let west = NodeId::new(row * 8 + col);
-                let east = NodeId::new(row * 8 + col + 4);
-                let at = SimTime::from_ps(round * 20_000);
-                net.send(at, west, east, MessageClass::Request, 64, round * 64);
-                net.send(
-                    at,
-                    east,
-                    west,
-                    MessageClass::BlockResponse,
-                    64,
-                    round * 64 + 1,
-                );
-            }
-        }
-        if round == rounds / 3 {
-            net.fail_link(NodeId::new(3), NodeId::new(4)).unwrap();
-            net.fail_link(NodeId::new(11), NodeId::new(12)).unwrap();
-        }
-    }
-    net.drain();
-    net.delivered_count()
-}
-
-fn bench_network_sharding(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sharding");
-    // 63 senders x 8 rounds of hotspot traffic.
-    g.throughput(Throughput::Elements(63 * 8));
-    for shards in [1usize, 2, 4, 8] {
-        g.bench_function(format!("hotspot_fig05_shape_{shards}shards"), |b| {
-            b.iter(|| black_box(hotspot_run(shards, 8)))
-        });
-    }
-    // 64 mirror messages x 12 rounds over the wounded fabric.
-    g.throughput(Throughput::Elements(64 * 12));
-    for shards in [1usize, 2, 4] {
-        g.bench_function(format!("faulty_resilience_shape_{shards}shards"), |b| {
-            b.iter(|| black_box(faulty_run(shards, 12)))
-        });
-    }
-    g.finish();
-}
 
 const NODES: u32 = 64;
 const HOP: u64 = 500; // intra-region follow-up delay, ps
@@ -282,10 +201,5 @@ fn bench_epoch_crossover(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_network_sharding,
-    bench_epoch_crossover,
-    bench_closed_loop_crossover
-);
+criterion_group!(benches, bench_epoch_crossover, bench_closed_loop_crossover);
 criterion_main!(benches);

@@ -10,17 +10,20 @@
 //! printed as text; `--json DIR` additionally writes one JSON file per
 //! artifact (EXPERIMENTS.md is generated from these) plus a
 //! `BENCH_sweep.json` timing record (wall-clock per artifact, total, the
-//! worker and shard counts actually in force, and global plus per-shard
-//! peak event-queue depth). The sweep fans out across all cores by
-//! default; `--jobs N` pins the worker count and `--sequential` is shorthand
-//! for `--jobs 1`. `--shards N` additionally partitions each simulation's
-//! event queue into N torus-region shards (`ALPHASIM_SHARDS` is the
-//! environment equivalent), and `--threads N` drives the epoch-parallel
-//! closed-loop campaigns (resilience, chaos) with N pool threads
+//! worker, shard and thread counts actually in force, and the peak
+//! event-queue depth). The sweep fans out across all cores by default;
+//! `--jobs N` pins the worker count and `--sequential` is shorthand for
+//! `--jobs 1`. `--shards N` partitions the epoch engine behind the
+//! closed-loop fault campaigns (resilience, chaos) into N torus-region
+//! shards (`ALPHASIM_SHARDS` is the environment equivalent), and
+//! `--threads N` drives those regions with N pool threads
 //! (`ALPHASIM_THREADS`; `--threads 0` means all available cores). The
-//! artifact outputs are byte-identical at any `--jobs` × `--shards` ×
-//! `--threads` combination — only `BENCH_sweep.json`, which records
-//! measured times, varies between runs.
+//! fault-free load tests run on one sequential event queue whatever these
+//! say. The artifact outputs are byte-identical at any `--jobs` ×
+//! `--shards` × `--threads` combination — only `BENCH_sweep.json`, which
+//! records measured times, varies between runs. A count flag given
+//! something other than a non-negative whole number is a usage error
+//! (exit status 2).
 //!
 //! `--telemetry` additionally runs the instrumented telemetry sweep (a
 //! fixed-size healthy 16P campaign, independent of `--quick`) and writes
@@ -39,9 +42,12 @@ use std::io::Write;
 use std::time::Instant;
 
 use alphasim_bench::{
-    jobs, run_all_timed, set_jobs, set_shards, set_threads, shards, take_peak_event_depth,
-    take_shard_peak_depths, threads, Effort,
+    jobs, parse_count, run_all_timed, set_jobs, set_shards, set_threads, shards,
+    take_peak_event_depth, threads, Effort,
 };
+
+const USAGE: &str = "usage: reproduce [--quick] [--jobs N | --sequential] [--shards N] \
+[--threads N] [--json DIR] [--telemetry] [--timeline] [--trace PATH] [--check] [ID ...]";
 
 /// Write `content` to `path`, or in check mode compare against the file's
 /// current bytes and record any drift.
@@ -85,22 +91,22 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    if let Some(n) = flag_value("--jobs") {
-        let n: usize = n
-            .parse()
-            .unwrap_or_else(|_| panic!("--jobs wants a number, got {n:?}"));
+    // A count flag, if given: its parsed value, or a usage error (exit 2).
+    let count = |flag: &str| -> Option<usize> {
+        args.iter().any(|a| a == flag).then(|| {
+            parse_count(flag, flag_value(flag).as_deref()).unwrap_or_else(|e| {
+                eprintln!("reproduce: {e}\n{USAGE}");
+                std::process::exit(2)
+            })
+        })
+    };
+    if let Some(n) = count("--jobs") {
         set_jobs(n.max(1));
     }
-    if let Some(n) = flag_value("--shards") {
-        let n: usize = n
-            .parse()
-            .unwrap_or_else(|_| panic!("--shards wants a number, got {n:?}"));
+    if let Some(n) = count("--shards") {
         set_shards(n.max(1));
     }
-    if let Some(n) = flag_value("--threads") {
-        let n: usize = n
-            .parse()
-            .unwrap_or_else(|_| panic!("--threads wants a number, got {n:?}"));
+    if let Some(n) = count("--threads") {
         // 0 = auto: all available cores.
         set_threads(if n == 0 {
             std::thread::available_parallelism()
@@ -133,13 +139,11 @@ fn main() {
     eprintln!(
         "regenerating all experiments ({effort:?}, {workers} worker(s), {shard_count} shard(s), {thread_count} campaign thread(s)) ..."
     );
-    take_peak_event_depth(); // start the gauges fresh for this sweep
-    take_shard_peak_depths();
+    take_peak_event_depth(); // start the gauge fresh for this sweep
     let wall = Instant::now(); // lint-allow: wall-clock (harness self-timing)
     let timed = run_all_timed(effort);
     let total_secs = wall.elapsed().as_secs_f64();
     let peak_depth = take_peak_event_depth();
-    let shard_peaks = take_shard_peak_depths();
     // The worker count the fan-out actually used: `jobs()` is capped by the
     // number of artifacts, so a `--jobs 64` run of 28 artifacts must not be
     // recorded as having had 64-way parallelism.
@@ -211,19 +215,20 @@ fn main() {
         let artifacts_json: Vec<serde_json::Value> = timed
             .iter()
             .map(|(a, secs)| {
-                // Truthful per-artifact thread count: only the epoch-parallel
-                // closed loops consume pool threads; everything else runs on
-                // one thread no matter what `--threads` says.
-                let artifact_threads = if a.uses_worker_threads() {
-                    thread_count
+                // Truthful per-artifact shard and thread counts: only the
+                // epoch-parallel closed loops are partitioned into regions
+                // and consume pool threads; everything else runs as one
+                // region on one thread whatever `--shards`/`--threads` say.
+                let (artifact_shards, artifact_threads) = if a.uses_worker_threads() {
+                    (shard_count, thread_count)
                 } else {
-                    1
+                    (1, 1)
                 };
                 serde_json::json!({
                     "id": a.id(),
                     "wall_clock_s": secs,
                     "jobs": effective_jobs as u64,
-                    "shards": shard_count as u64,
+                    "shards": artifact_shards as u64,
                     "threads": artifact_threads as u64,
                 })
             })
@@ -235,7 +240,6 @@ fn main() {
             "threads": thread_count as u64,
             "total_wall_clock_s": total_secs,
             "peak_event_queue_depth": peak_depth,
-            "per_shard_peak_event_queue_depth": shard_peaks,
             "artifacts": artifacts_json,
         });
         let path = format!("{dir}/BENCH_sweep.json");

@@ -21,7 +21,53 @@ use alphasim::xmesh;
 pub use alphasim::experiments::telemetry::TelemetryReport;
 pub use alphasim::experiments::timeline::{TimelineReport, WINDOW_PS as TIMELINE_WINDOW_PS};
 pub use alphasim::kernel::par::{jobs, set_jobs, set_shards, set_threads, shards, threads};
-pub use alphasim::kernel::{take_peak_event_depth, take_shard_peak_depths};
+pub use alphasim::kernel::take_peak_event_depth;
+
+/// A count flag (`--jobs`, `--shards`, `--threads`) given a value that is
+/// not a count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UsageError {
+    /// The flag, e.g. `--jobs`.
+    pub flag: String,
+    /// The value it was given; `None` when the flag ended the command line.
+    pub value: Option<String>,
+}
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.value {
+            Some(v) => write!(
+                f,
+                "{} wants a non-negative whole number, got {v:?}",
+                self.flag
+            ),
+            None => write!(f, "{} wants a non-negative whole number", self.flag),
+        }
+    }
+}
+
+impl std::error::Error for UsageError {}
+
+/// Parse the value of a count flag: a non-negative decimal integer.
+/// `value` is `None` when the flag was the last argument.
+///
+/// # Examples
+///
+/// ```
+/// use alphasim_bench::parse_count;
+///
+/// assert_eq!(parse_count("--jobs", Some("4")), Ok(4));
+/// assert!(parse_count("--jobs", Some("four")).is_err());
+/// assert!(parse_count("--jobs", None).is_err());
+/// ```
+pub fn parse_count(flag: &str, value: Option<&str>) -> Result<usize, UsageError> {
+    value
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| UsageError {
+            flag: flag.to_string(),
+            value: value.map(str::to_string),
+        })
+}
 
 /// How hard to sweep each experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,9 +172,10 @@ impl Artifact {
     }
 
     /// Whether this artifact's sweep runs on the epoch-parallel closed-loop
-    /// engine and therefore actually uses the worker-thread knob
-    /// ([`threads`]). Every other artifact is a single-threaded simulation
-    /// whatever `--threads` says, so `BENCH_sweep.json` records `1` for it.
+    /// engine and therefore actually uses the region-shard and
+    /// worker-thread knobs ([`shards`], [`threads`]). Every other artifact
+    /// is a single-region, single-threaded simulation whatever `--shards`
+    /// and `--threads` say, so `BENCH_sweep.json` records `1` for both.
     pub fn uses_worker_threads(&self) -> bool {
         matches!(self.id(), "resilience" | "chaos")
     }
@@ -360,11 +407,46 @@ mod tests {
     }
 
     #[test]
+    fn parse_count_accepts_non_negative_integers() {
+        assert_eq!(parse_count("--jobs", Some("0")), Ok(0));
+        assert_eq!(parse_count("--shards", Some("4")), Ok(4));
+        assert_eq!(parse_count("--threads", Some("0016")), Ok(16));
+        assert_eq!(
+            parse_count("--jobs", Some(&usize::MAX.to_string())),
+            Ok(usize::MAX)
+        );
+    }
+
+    #[test]
+    fn parse_count_rejects_everything_else_with_a_named_error() {
+        for bad in ["", "four", "-1", "2.5", "1e3", " 4", "4 ", "0x10", "+"] {
+            let err = parse_count("--shards", Some(bad)).unwrap_err();
+            assert_eq!(
+                err,
+                UsageError {
+                    flag: "--shards".into(),
+                    value: Some(bad.into())
+                }
+            );
+            assert!(err.to_string().starts_with("--shards wants"), "{err}");
+        }
+        let overflow = format!("{}0", usize::MAX);
+        assert!(parse_count("--jobs", Some(&overflow)).is_err());
+        let missing = parse_count("--threads", None).unwrap_err();
+        assert_eq!(missing.value, None);
+        assert_eq!(
+            missing.to_string(),
+            "--threads wants a non-negative whole number"
+        );
+    }
+
+    #[test]
     fn sweep_is_byte_identical_across_shard_counts() {
-        // Region-sharding the event queue restructures the future-event
-        // list but shares one insertion sequence and pops the global
-        // minimum, so every artifact must regenerate byte-for-byte at any
-        // shard count.
+        // The shard count partitions only the epoch engine's regions (the
+        // resilience and chaos campaigns; telemetry and timeline pin their
+        // own). Cross-region events carry shard-count-invariant tiebreaks
+        // and every result stream is merged in canonical order, so every
+        // artifact must regenerate byte-for-byte at any shard count.
         fn render(artifacts: &[Artifact]) -> Vec<(String, String)> {
             artifacts
                 .iter()

@@ -10,8 +10,13 @@
 //! [`NetworkSim`] reproduces this at message granularity: per-class VC
 //! queues with strict-priority output arbitration, minimal adaptive output
 //! selection by backlog, wormhole-style latency accounting, and calibrated
-//! congestion penalties (see `DESIGN.md` for the fidelity argument). The
-//! deadlock-freedom construction itself is checked as a graph property in
+//! congestion penalties (see `DESIGN.md` for the fidelity argument). It is
+//! the fault-free fabric of the paper's load tests, driven by one
+//! sequential event queue. [`partition::RegionNet`] is the only faulty
+//! fabric: it splits the same hop model into torus row-band regions for the
+//! epoch engine, and applies live link cuts, degradation, CRC retransmits,
+//! router pauses and drains at epoch barriers. The deadlock-freedom
+//! construction itself is checked as a graph property in
 //! [`alphasim_topology::route`].
 //!
 //! # Examples
@@ -40,6 +45,7 @@ pub mod region;
 mod sim;
 mod timing;
 
-pub use msg::{Delivery, DroppedMsg, MessageClass, MessageId};
-pub use sim::{FaultError, NetworkSim, Step};
+pub use msg::{Delivery, MessageClass, MessageId};
+pub use partition::FaultError;
+pub use sim::{NetworkSim, Step};
 pub use timing::LinkTiming;

@@ -125,32 +125,6 @@ impl Delivery {
     }
 }
 
-/// A message lost to a live link failure while occupying the failed wire,
-/// handed back by [`NetworkSim::step`] so the coherence layer can retry it.
-///
-/// [`NetworkSim::step`]: crate::NetworkSim::step
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DroppedMsg {
-    /// The message's id (its slot is recycled after this report).
-    pub id: MessageId,
-    /// Source endpoint.
-    pub src: NodeId,
-    /// Destination endpoint.
-    pub dst: NodeId,
-    /// Coherence class.
-    pub class: MessageClass,
-    /// Payload size in bytes.
-    pub bytes: u64,
-    /// Caller-supplied correlation tag.
-    pub tag: u64,
-    /// Injection time.
-    pub injected_at: SimTime,
-    /// When the loss was observed.
-    pub dropped_at: SimTime,
-    /// Hops traversed before the loss.
-    pub hops: u32,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

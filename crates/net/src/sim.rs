@@ -1,97 +1,23 @@
-//! The message-level network simulator.
+//! The message-level network simulator: the fault-free fabric of the
+//! paper's closed-loop load tests.
 
-use alphasim_kernel::{FaultKind, FaultPlan, ShardedEventQueue, SimDuration, SimTime};
-use alphasim_telemetry::trace::{PID_LINKS, PID_MESSAGES};
-use alphasim_telemetry::{HopBreakdown, TraceSink};
+use alphasim_kernel::{EventQueue, SimDuration, SimTime};
+use alphasim_telemetry::HopBreakdown;
 use alphasim_topology::route::{RoutePolicy, Routes};
-use alphasim_topology::{Coord, NodeId, Port, Topology};
+use alphasim_topology::{NodeId, Topology};
 
 use crate::link::Link;
-use crate::msg::{Delivery, DroppedMsg, MessageClass, MessageId};
-use crate::region::RegionMap;
+use crate::msg::{Delivery, MessageClass, MessageId};
 use crate::timing::LinkTiming;
-
-/// The region shard that hosts fabric-global events (fault strikes, caller
-/// timers): these are barrier events with no single home node.
-const GLOBAL_SHARD: usize = 0;
 
 /// What one [`NetworkSim::step`] produced.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Step {
     /// A message reached its destination.
     Delivered(Delivery),
-    /// A message was lost to a link failure (only with
-    /// [`NetworkSim::set_drop_in_flight`] enabled).
-    Dropped(DroppedMsg),
-    /// A scheduled fault from the installed [`FaultPlan`] struck.
-    Fault(FaultKind),
-    /// A timer set with [`NetworkSim::set_timer`] fired.
-    Timer(u64),
     /// An internal event (a hop, a link becoming free) was processed.
     Internal,
 }
-
-/// Why a live fault could not be applied (or survived).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultError {
-    /// No such link exists in the underlying topology.
-    NoSuchLink {
-        /// One claimed end of the link.
-        a: NodeId,
-        /// The other claimed end.
-        b: NodeId,
-    },
-    /// The link is already in the requested liveness state.
-    AlreadyInState {
-        /// One end of the link.
-        a: NodeId,
-        /// The other end.
-        b: NodeId,
-        /// The state it is already in.
-        alive: bool,
-    },
-    /// Failing the link would disconnect at least one endpoint pair; the
-    /// failure was rolled back and the fabric left routable.
-    Partitioned {
-        /// An endpoint that would lose reachability.
-        from: NodeId,
-        /// The endpoint it could no longer reach.
-        to: NodeId,
-    },
-    /// The link is in a state that rejects the requested transition (e.g.
-    /// degrading a dead link, or corrupting a flit on one).
-    BadState {
-        /// One end of the link.
-        a: NodeId,
-        /// The other end.
-        b: NodeId,
-        /// Why the transition is rejected.
-        what: &'static str,
-    },
-}
-
-impl std::fmt::Display for FaultError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultError::NoSuchLink { a, b } => write!(f, "no link {a}<->{b} in the fabric"),
-            FaultError::AlreadyInState { a, b, alive } => {
-                let state = if *alive { "alive" } else { "dead" };
-                write!(f, "link {a}<->{b} is already {state}")
-            }
-            FaultError::Partitioned { from, to } => {
-                write!(
-                    f,
-                    "failure would partition the fabric: {from} cannot reach {to}"
-                )
-            }
-            FaultError::BadState { a, b, what } => {
-                write!(f, "link {a}<->{b} {what}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FaultError {}
 
 #[derive(Debug)]
 struct MsgState {
@@ -103,12 +29,8 @@ struct MsgState {
     injected_at: SimTime,
     hops: u32,
     serialized: bool,
-    /// Lost to a link failure; reported as [`Step::Dropped`] when its
-    /// pending arrival fires, then recycled.
-    dropped: bool,
-    /// When the message last joined an output queue (injection, a hop
-    /// arrival, or an eviction re-route): the epoch its next grant wait is
-    /// measured from.
+    /// When the message last joined an output queue (injection or a hop
+    /// arrival): the epoch its next grant wait is measured from.
     enqueued_at: SimTime,
     /// Per-stage latency attribution accumulated along the route.
     acc: HopBreakdown,
@@ -118,41 +40,15 @@ struct MsgState {
 enum Event {
     Arrive { msg: MessageId, node: NodeId },
     LinkFree { link: usize },
-    Fault { kind: FaultKind },
-    Timer { tag: u64 },
 }
 
-/// The live (non-failed) ports of the fabric, materialized so both
-/// [`Routes::compute`] and [`Routes::minimal_ports`] see the same port
-/// indexing after a failure.
-struct LiveView<'a, T: Topology> {
-    inner: &'a T,
-    ports: &'a [Vec<Port>],
-}
-
-impl<T: Topology> Topology for LiveView<'_, T> {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    fn ports(&self, node: NodeId) -> &[Port] {
-        &self.ports[node.index()]
-    }
-
-    fn is_endpoint(&self, node: NodeId) -> bool {
-        self.inner.is_endpoint(node)
-    }
-
-    fn coord(&self, node: NodeId) -> Option<Coord> {
-        self.inner.coord(node)
-    }
-}
-
-/// A discrete-event, message-level simulator of one fabric.
+/// A discrete-event, message-level simulator of one healthy fabric.
+///
+/// This is the fabric of the paper's fault-free load tests (Figs. 15, 18,
+/// 23–28). Live faults — link cuts, degradation, CRC retransmits, router
+/// pauses, drains — are modelled only by the epoch engine's
+/// [`RegionNet`](crate::partition::RegionNet); a statically wounded
+/// fabric is a [`Degraded`](alphasim_topology::Degraded) topology.
 ///
 /// Fidelity choices (see DESIGN.md):
 ///
@@ -196,28 +92,11 @@ pub struct NetworkSim<T: Topology> {
     policy: RoutePolicy,
     timing: LinkTiming,
     links: Vec<Link>,
-    /// node index → port index → link id (over the *full* topology).
+    /// node index → port index → link id.
     link_of: Vec<Vec<usize>>,
-    /// node index → live outgoing ports (dead links filtered out). Kept
-    /// materialized so `routes` and `choose_output` agree on port indices.
-    live_ports: Vec<Vec<Port>>,
-    /// node index → live port index → link id, parallel to `live_ports`.
-    live_link_of: Vec<Vec<usize>>,
-    /// Endpoints whose CPU has stopped sourcing traffic (router still
-    /// forwards, as a wounded EV7's does).
-    drained: Vec<bool>,
-    /// Whether a link failure loses the message occupying the wire (the
-    /// coherence layer then sees [`Step::Dropped`] and must retry).
-    drop_in_flight: bool,
-    /// Node → region partition behind the sharded event queue; tracks live
-    /// cross-region links so the conservative lookahead stays current as
-    /// faults strike.
-    region: RegionMap,
-    /// The future-event list, sharded by topology region. All shards share
-    /// one insertion sequence and `pop` is the global minimum, so the event
-    /// order — and therefore every output byte — is identical at any shard
-    /// count (see `alphasim_kernel::shard`).
-    events: ShardedEventQueue<Event>,
+    /// The future-event list: `(time, insertion order)` pops, so the event
+    /// order — and therefore every output byte — is deterministic.
+    events: EventQueue<Event>,
     msgs: Vec<MsgState>,
     /// Slots in `msgs` whose message has been delivered, ready for reuse.
     /// A delivered [`MessageId`] is never dereferenced again (deliveries
@@ -226,11 +105,6 @@ pub struct NetworkSim<T: Topology> {
     /// growing with every message ever sent.
     free: Vec<u32>,
     delivered: u64,
-    dropped: u64,
-    rerouted: u64,
-    /// Chrome-trace sink; `None` (the default) costs one never-taken branch
-    /// per hop and per delivery.
-    trace: Option<Box<TraceSink>>,
 }
 
 impl<T: Topology> NetworkSim<T> {
@@ -244,7 +118,6 @@ impl<T: Topology> NetworkSim<T> {
         let routes = Routes::compute(&topo, policy);
         let mut links = Vec::new();
         let mut link_of = Vec::with_capacity(topo.node_count());
-        let mut live_ports = Vec::with_capacity(topo.node_count());
         for n in 0..topo.node_count() {
             let node = NodeId::new(n);
             let mut ids = Vec::new();
@@ -253,11 +126,7 @@ impl<T: Topology> NetworkSim<T> {
                 links.push(Link::new(node, p.to, p.class, p.dir));
             }
             link_of.push(ids);
-            live_ports.push(topo.ports(node).to_vec());
         }
-        let live_link_of = link_of.clone();
-        let drained = vec![false; topo.node_count()];
-        let region = RegionMap::bands(&topo, 1);
         NetworkSim {
             topo,
             routes,
@@ -265,18 +134,10 @@ impl<T: Topology> NetworkSim<T> {
             timing,
             links,
             link_of,
-            live_ports,
-            live_link_of,
-            drained,
-            drop_in_flight: false,
-            region,
-            events: ShardedEventQueue::new(1),
+            events: EventQueue::new(),
             msgs: Vec::new(),
             free: Vec::new(),
             delivered: 0,
-            dropped: 0,
-            rerouted: 0,
-            trace: None,
         }
     }
 
@@ -317,409 +178,11 @@ impl<T: Topology> NetworkSim<T> {
         self.free.len()
     }
 
-    /// Messages lost to link failures so far.
-    pub fn dropped_count(&self) -> u64 {
-        self.dropped
-    }
-
     /// High-water mark of this simulator's own pending-event count (unlike
     /// the process-wide gauge in `alphasim_kernel`, this is scoped to one
     /// run and therefore deterministic under concurrent sweeps).
     pub fn event_queue_peak(&self) -> usize {
         self.events.peak_len()
-    }
-
-    /// Per-region high-water marks of the pending-event count, indexed by
-    /// shard id (one entry when unsharded).
-    pub fn shard_event_peaks(&self) -> &[usize] {
-        self.events.shard_peaks()
-    }
-
-    /// Repartition the fabric into `shards` contiguous regions (row bands
-    /// on the torus) and shard the event queue accordingly. The event
-    /// *order* is unchanged — shards share one insertion sequence and pops
-    /// take the global minimum — so every output byte is identical at any
-    /// shard count; what changes is the queue's structure (per-region
-    /// depth attribution, and the partitioning a conservative parallel
-    /// epoch run needs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if events are already pending: the shard map must be fixed
-    /// before traffic is injected.
-    pub fn set_shards(&mut self, shards: usize) {
-        assert!(
-            self.events.is_empty(),
-            "set_shards must run before any event is scheduled"
-        );
-        self.region = RegionMap::bands(&self.topo, shards);
-        self.events = ShardedEventQueue::new(self.region.shard_count());
-    }
-
-    /// The region-shard count in force (1 = unsharded).
-    pub fn shards(&self) -> usize {
-        self.events.shard_count()
-    }
-
-    /// The conservative lookahead of the current partition: the cheapest
-    /// hop over any live cross-region link, or `None` when unsharded. This
-    /// is the horizon up to which regions could advance independently —
-    /// every cross-region effect is delayed at least this long by the wire
-    /// that carries it.
-    pub fn conservative_lookahead(&self) -> Option<SimDuration> {
-        self.region.conservative_lookahead(&self.timing)
-    }
-
-    /// Invariant monitor: recompute the route tables from scratch over the
-    /// live fabric and compare endpoint-pair distances against the tables in
-    /// force. `Err` describes the first divergence — the incremental
-    /// rebuild-on-fault machinery has let the tables rot.
-    pub fn audit_routes(&self) -> Result<(), String> {
-        let view = LiveView {
-            inner: &self.topo,
-            ports: &self.live_ports,
-        };
-        let fresh = Routes::compute(&view, self.policy);
-        let eps = self.topo.endpoints();
-        for &from in &eps {
-            for &to in &eps {
-                if from == to {
-                    continue;
-                }
-                let installed = self.routes.distance(from, 0, to);
-                let recomputed = fresh.distance(from, 0, to);
-                if installed != recomputed {
-                    return Err(format!(
-                        "route table inconsistent: {from}->{to} installed distance \
-                         {installed}, recomputed {recomputed}"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Invariant monitor: compare the incrementally maintained conservative
-    /// lookahead against the brute-force walk oracle over the live fabric.
-    /// `Err` describes the divergence — fault plumbing has desynced the
-    /// cross-region link accounting.
-    pub fn audit_lookahead(&self) -> Result<(), String> {
-        let view = LiveView {
-            inner: &self.topo,
-            ports: &self.live_ports,
-        };
-        let walked = crate::region::lookahead_by_walk(&view, &self.region, &self.timing);
-        let incremental = self.conservative_lookahead();
-        if walked == incremental {
-            Ok(())
-        } else {
-            Err(format!(
-                "conservative lookahead diverged from the oracle: incremental {incremental:?}, \
-                 brute-force walk {walked:?}"
-            ))
-        }
-    }
-
-    /// Attach a Chrome-trace sink recording message lifetimes (one lane per
-    /// source node) and link occupancy (one lane per directed link).
-    /// Tracing changes nothing about the simulation itself — timestamps are
-    /// simulated time, so a traced run still reproduces byte-identically.
-    pub fn enable_trace(&mut self) {
-        let mut sink = TraceSink::new();
-        sink.name_process(PID_MESSAGES, "network: message lifetimes");
-        sink.name_process(PID_LINKS, "network: link occupancy");
-        for n in 0..self.topo.node_count() {
-            if self.topo.is_endpoint(NodeId::new(n)) {
-                let tid = n as u32;
-                sink.name_thread(PID_MESSAGES, tid, &format!("node {n}"));
-            }
-        }
-        self.trace = Some(Box::new(sink));
-    }
-
-    /// Detach and return the trace sink, if one was attached.
-    pub fn take_trace(&mut self) -> Option<TraceSink> {
-        self.trace.take().map(|b| *b)
-    }
-
-    /// Mutable access to the attached trace sink, so higher layers (memory
-    /// controllers, coherence) can add their own lanes to the same file.
-    pub fn trace_mut(&mut self) -> Option<&mut TraceSink> {
-        self.trace.as_deref_mut()
-    }
-
-    /// Whether a trace sink is attached.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Queued messages evicted from failing links and re-routed so far.
-    pub fn rerouted_count(&self) -> u64 {
-        self.rerouted
-    }
-
-    /// Directed links currently dead.
-    pub fn dead_link_count(&self) -> usize {
-        self.links.iter().filter(|l| !l.is_alive()).count()
-    }
-
-    /// Whether `node`'s CPU has been drained by a fault.
-    pub fn is_drained(&self, node: NodeId) -> bool {
-        self.drained[node.index()]
-    }
-
-    /// When enabled, a link failure loses the message occupying the wire
-    /// (reported as [`Step::Dropped`]); when disabled (the default), in-flight
-    /// messages land on the far side before the link goes quiet.
-    pub fn set_drop_in_flight(&mut self, drop: bool) {
-        self.drop_in_flight = drop;
-    }
-
-    /// Schedule every fault in `plan` into the event stream. Each strike is
-    /// reported as a [`Step::Fault`] when its time comes; link faults are
-    /// applied to the fabric internally (panicking loudly if the plan
-    /// partitions it), and [`FaultKind::ChannelDown`] is passed through for
-    /// the memory layer to apply.
-    pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
-        for e in plan.events() {
-            self.events
-                .schedule(GLOBAL_SHARD, e.at, Event::Fault { kind: e.kind });
-        }
-    }
-
-    /// Schedule a caller timer; [`step`](Self::step) reports it as
-    /// [`Step::Timer`] with the same `tag` when `at` is reached. Coherence
-    /// timeout-and-retry loops ride on these.
-    pub fn set_timer(&mut self, at: SimTime, tag: u64) {
-        self.events.schedule(GLOBAL_SHARD, at, Event::Timer { tag });
-    }
-
-    /// The link id of the directed link `from -> to`, if it exists.
-    fn directed_link_id(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        if from.index() >= self.topo.node_count() {
-            return None;
-        }
-        self.topo
-            .ports(from)
-            .iter()
-            .position(|p| p.to == to)
-            .map(|pi| self.link_of[from.index()][pi])
-    }
-
-    /// Fail the undirected link `a ↔ b` *now*: both directed channels go
-    /// dead, queued messages are evicted and re-routed from the link's
-    /// sending side, in-flight messages are lost if
-    /// [`set_drop_in_flight`](Self::set_drop_in_flight) is on, and routes
-    /// are recomputed over the surviving fabric. If the failure would
-    /// partition the fabric it is rolled back and
-    /// [`FaultError::Partitioned`] returned.
-    pub fn fail_link(&mut self, a: NodeId, b: NodeId) -> Result<(), FaultError> {
-        let (la, lb) = match (self.directed_link_id(a, b), self.directed_link_id(b, a)) {
-            (Some(la), Some(lb)) => (la, lb),
-            _ => return Err(FaultError::NoSuchLink { a, b }),
-        };
-        if !self.links[la].is_alive() {
-            return Err(FaultError::AlreadyInState { a, b, alive: false });
-        }
-        let now = self.now();
-        for id in [la, lb] {
-            self.links[id].set_alive(false);
-            if self.drop_in_flight {
-                if let Some(m) = self.links[id].in_flight() {
-                    self.msgs[m.index()].dropped = true;
-                }
-            }
-            let from = self.links[id].from;
-            self.region
-                .directed_link_down(from, self.links[id].to, self.links[id].class);
-            let shard = self.region.region_of(from);
-            for m in self.links[id].drain_queued() {
-                self.rerouted += 1;
-                self.events
-                    .schedule(shard, now, Event::Arrive { msg: m, node: from });
-            }
-        }
-        if let Err(e) = self.rebuild_routes() {
-            // Roll back so the fabric stays routable (including any
-            // in-flight messages condemned above).
-            for id in [la, lb] {
-                self.links[id].set_alive(true);
-                self.region.directed_link_up(
-                    self.links[id].from,
-                    self.links[id].to,
-                    self.links[id].class,
-                );
-                if let Some(m) = self.links[id].in_flight() {
-                    self.msgs[m.index()].dropped = false;
-                }
-            }
-            self.rebuild_routes()
-                .expect("rollback restores connectivity");
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// Repair the undirected link `a ↔ b`. A dead link comes back up (and
-    /// routes are recomputed over the healed fabric); a degraded link is
-    /// restored to full speed (no route change — degradation never rerouted
-    /// in the first place). A healthy full-speed link errs.
-    pub fn restore_link(&mut self, a: NodeId, b: NodeId) -> Result<(), FaultError> {
-        let (la, lb) = match (self.directed_link_id(a, b), self.directed_link_id(b, a)) {
-            (Some(la), Some(lb)) => (la, lb),
-            _ => return Err(FaultError::NoSuchLink { a, b }),
-        };
-        if self.links[la].is_alive() {
-            if self.links[la].is_degraded() || self.links[lb].is_degraded() {
-                self.links[la].set_degrade(1);
-                self.links[lb].set_degrade(1);
-                return Ok(());
-            }
-            return Err(FaultError::AlreadyInState { a, b, alive: true });
-        }
-        for id in [la, lb] {
-            self.links[id].set_alive(true);
-            self.links[id].set_degrade(1);
-            self.region.directed_link_up(
-                self.links[id].from,
-                self.links[id].to,
-                self.links[id].class,
-            );
-        }
-        self.rebuild_routes()
-            .expect("restoring a link cannot partition the fabric");
-        Ok(())
-    }
-
-    /// Degrade the undirected link `a ↔ b`: it keeps carrying traffic, but
-    /// wire flight and serialization stretch by
-    /// [`alphasim_kernel::fault::DEGRADE_FACTOR`]. Routing does not react —
-    /// the paper's adaptive routing sees backlog, not wire health — so the
-    /// slow link visibly stretches latency instead of being detoured.
-    /// [`restore_link`](Self::restore_link) heals it.
-    pub fn degrade_link(&mut self, a: NodeId, b: NodeId) -> Result<(), FaultError> {
-        let (la, lb) = match (self.directed_link_id(a, b), self.directed_link_id(b, a)) {
-            (Some(la), Some(lb)) => (la, lb),
-            _ => return Err(FaultError::NoSuchLink { a, b }),
-        };
-        if !self.links[la].is_alive() {
-            return Err(FaultError::BadState {
-                a,
-                b,
-                what: "is dead; cannot degrade",
-            });
-        }
-        if self.links[la].is_degraded() {
-            return Err(FaultError::BadState {
-                a,
-                b,
-                what: "is already degraded",
-            });
-        }
-        self.links[la].set_degrade(alphasim_kernel::fault::DEGRADE_FACTOR);
-        self.links[lb].set_degrade(alphasim_kernel::fault::DEGRADE_FACTOR);
-        Ok(())
-    }
-
-    /// Arm a transient on the directed link `from -> to`: the next flit it
-    /// grants is corrupted in flight, caught by the receiver's CRC, and
-    /// retransmitted by the link layer — the message survives with one extra
-    /// transfer + wire flight of latency, counted in
-    /// [`crc_retransmit_count`](Self::crc_retransmit_count).
-    pub fn corrupt_next_flit(&mut self, from: NodeId, to: NodeId) -> Result<(), FaultError> {
-        let Some(id) = self.directed_link_id(from, to) else {
-            return Err(FaultError::NoSuchLink { a: from, b: to });
-        };
-        if !self.links[id].is_alive() {
-            return Err(FaultError::BadState {
-                a: from,
-                b: to,
-                what: "is dead; cannot corrupt a flit",
-            });
-        }
-        self.links[id].arm_corruption();
-        Ok(())
-    }
-
-    /// Brown out `node`'s router: every outbound link stalls until
-    /// `now + duration`, then drains its backlog. Nothing is dropped or
-    /// rerouted — a pause is pure added latency.
-    pub fn pause_router(&mut self, node: NodeId, duration: SimDuration) {
-        let until = self.now() + duration;
-        let shard = self.region.region_of(node);
-        for pi in 0..self.link_of[node.index()].len() {
-            let id = self.link_of[node.index()][pi];
-            if !self.links[id].is_alive() {
-                continue;
-            }
-            if self.links[id].pause(until) {
-                // The channel was idle: it now reads busy with nothing in
-                // flight, and this release at pause end restores the
-                // one-pending-LinkFree-per-busy-channel invariant.
-                self.events
-                    .schedule(shard, until, Event::LinkFree { link: id });
-            }
-        }
-    }
-
-    /// CRC-detected flit corruptions retransmitted fabric-wide so far.
-    pub fn crc_retransmit_count(&self) -> u64 {
-        self.links.iter().map(Link::crc_retransmits).sum()
-    }
-
-    /// Directed links currently degraded (slowed, not dead).
-    pub fn degraded_link_count(&self) -> usize {
-        self.links.iter().filter(|l| l.is_degraded()).count()
-    }
-
-    /// Stop `node`'s CPU from sourcing new traffic; its router keeps
-    /// forwarding (the wounded-EV7 behaviour). [`send`](Self::send) from a
-    /// drained node panics, so closed-loop drivers must consult
-    /// [`is_drained`](Self::is_drained).
-    pub fn drain_node(&mut self, node: NodeId) {
-        self.drained[node.index()] = true;
-    }
-
-    /// Resume `node`'s CPU as a traffic source after a drain (the repair
-    /// symmetry of [`drain_node`](Self::drain_node)). A no-op on a node that
-    /// was never drained.
-    pub fn undrain_node(&mut self, node: NodeId) {
-        self.drained[node.index()] = false;
-    }
-
-    /// Refresh `live_ports`/`live_link_of` from link liveness and recompute
-    /// routes; errs (without touching `routes`) if any endpoint pair lost
-    /// reachability.
-    fn rebuild_routes(&mut self) -> Result<(), FaultError> {
-        for n in 0..self.topo.node_count() {
-            let node = NodeId::new(n);
-            let lp = &mut self.live_ports[n];
-            let ll = &mut self.live_link_of[n];
-            lp.clear();
-            ll.clear();
-            for (pi, p) in self.topo.ports(node).iter().enumerate() {
-                let id = self.link_of[n][pi];
-                if self.links[id].is_alive() {
-                    lp.push(*p);
-                    ll.push(id);
-                }
-            }
-        }
-        let view = LiveView {
-            inner: &self.topo,
-            ports: &self.live_ports,
-        };
-        let routes = Routes::compute(&view, self.policy);
-        let eps = self.topo.endpoints();
-        for &from in &eps {
-            for &to in &eps {
-                if from != to && routes.distance(from, 0, to) == Routes::UNREACHABLE {
-                    return Err(FaultError::Partitioned { from, to });
-                }
-            }
-        }
-        self.routes = routes;
-        Ok(())
     }
 
     /// Inject a message at time `at` (which must not be in the past).
@@ -739,10 +202,6 @@ impl<T: Topology> NetworkSim<T> {
     ) -> MessageId {
         assert!(src.index() < self.topo.node_count(), "bad source");
         assert!(dst.index() < self.topo.node_count(), "bad destination");
-        assert!(
-            !self.drained[src.index()],
-            "send from drained node {src}; check is_drained() first"
-        );
         let state = MsgState {
             src,
             dst,
@@ -752,7 +211,6 @@ impl<T: Topology> NetworkSim<T> {
             injected_at: at,
             hops: 0,
             serialized: false,
-            dropped: false,
             enqueued_at: at,
             acc: HopBreakdown::default(),
         };
@@ -764,9 +222,8 @@ impl<T: Topology> NetworkSim<T> {
             self.msgs.push(state);
             id
         };
-        let shard = self.region.region_of(src);
         self.events
-            .schedule(shard, at, Event::Arrive { msg: id, node: src });
+            .schedule(at, Event::Arrive { msg: id, node: src });
         id
     }
 
@@ -775,23 +232,6 @@ impl<T: Topology> NetworkSim<T> {
         let (now, event) = self.events.pop()?;
         match event {
             Event::Arrive { msg, node } => {
-                if self.msgs[msg.index()].dropped {
-                    self.dropped += 1;
-                    let m = &self.msgs[msg.index()];
-                    let report = DroppedMsg {
-                        id: msg,
-                        src: m.src,
-                        dst: m.dst,
-                        class: m.class,
-                        bytes: m.bytes,
-                        tag: m.tag,
-                        injected_at: m.injected_at,
-                        dropped_at: now,
-                        hops: m.hops,
-                    };
-                    self.free.push(msg.0);
-                    return Some(Step::Dropped(report));
-                }
                 if node == self.msgs[msg.index()].dst {
                     self.delivered += 1;
                     let m = &self.msgs[msg.index()];
@@ -807,22 +247,6 @@ impl<T: Topology> NetworkSim<T> {
                         hops: m.hops,
                         breakdown: m.acc,
                     };
-                    if let Some(tr) = self.trace.as_deref_mut() {
-                        let tid = delivery.src.index() as u32;
-                        tr.complete(
-                            delivery.class.name(),
-                            "msg",
-                            PID_MESSAGES,
-                            tid,
-                            delivery.injected_at.as_ps(),
-                            delivery.latency().as_ps(),
-                            &[
-                                ("tag", delivery.tag),
-                                ("hops", u64::from(delivery.hops)),
-                                ("dst", delivery.dst.index() as u64),
-                            ],
-                        );
-                    }
                     self.free.push(msg.0);
                     return Some(Step::Delivered(delivery));
                 }
@@ -835,58 +259,12 @@ impl<T: Topology> NetworkSim<T> {
                 Some(Step::Internal)
             }
             Event::LinkFree { link } => {
-                // A router pause extends the channel's hold: the release
-                // re-arms itself at the pause end instead of freeing early.
-                let until = self.links[link].pause_until();
-                if until > now {
-                    let shard = self.region.region_of(self.links[link].from);
-                    self.events.schedule(shard, until, Event::LinkFree { link });
-                    return Some(Step::Internal);
-                }
                 self.links[link].release();
-                if self.links[link].is_alive() && self.links[link].backlog() > 0 {
+                if self.links[link].backlog() > 0 {
                     self.start_transfer(link, now);
                 }
                 Some(Step::Internal)
             }
-            Event::Fault { kind } => {
-                match kind {
-                    FaultKind::LinkDown { a, b } => {
-                        let (a, b) = (NodeId::new(a), NodeId::new(b));
-                        if let Err(e) = self.fail_link(a, b) {
-                            panic!("fault plan could not be applied: {e}");
-                        }
-                    }
-                    FaultKind::LinkUp { a, b } => {
-                        let (a, b) = (NodeId::new(a), NodeId::new(b));
-                        if let Err(e) = self.restore_link(a, b) {
-                            panic!("fault plan could not be applied: {e}");
-                        }
-                    }
-                    FaultKind::LinkDegrade { a, b } => {
-                        let (a, b) = (NodeId::new(a), NodeId::new(b));
-                        if let Err(e) = self.degrade_link(a, b) {
-                            panic!("fault plan could not be applied: {e}");
-                        }
-                    }
-                    FaultKind::FlitCorrupt { from, to } => {
-                        let (from, to) = (NodeId::new(from), NodeId::new(to));
-                        if let Err(e) = self.corrupt_next_flit(from, to) {
-                            panic!("fault plan could not be applied: {e}");
-                        }
-                    }
-                    FaultKind::NodeDrain { node } => self.drain_node(NodeId::new(node)),
-                    FaultKind::NodeUndrain { node } => self.undrain_node(NodeId::new(node)),
-                    FaultKind::RouterPause { node, ps } => {
-                        self.pause_router(NodeId::new(node), SimDuration::from_ps(ps));
-                    }
-                    // Memory-channel faults belong to the Zbox layer; pass
-                    // the strike through for the system driver to apply.
-                    FaultKind::ChannelDown { .. } | FaultKind::ChannelUp { .. } => {}
-                }
-                Some(Step::Fault(kind))
-            }
-            Event::Timer { tag } => Some(Step::Timer(tag)),
         }
     }
 
@@ -907,28 +285,23 @@ impl<T: Topology> NetworkSim<T> {
     }
 
     /// Pick the output link for `msg` at `node`: minimal adaptive for
-    /// coherence classes, deterministic (first minimal port) for I/O. Routes
-    /// and port indices are over the live (non-failed) fabric.
+    /// coherence classes, deterministic (first minimal port) for I/O.
     fn choose_output(&self, msg: MessageId, node: NodeId) -> usize {
         let m = &self.msgs[msg.index()];
-        let view = LiveView {
-            inner: &self.topo,
-            ports: &self.live_ports,
-        };
-        let candidates = self.routes.minimal_ports(&view, node, m.hops, m.dst);
+        let candidates = self.routes.minimal_ports(&self.topo, node, m.hops, m.dst);
         debug_assert!(!candidates.is_empty(), "routing dead end");
         let chosen = if m.class.may_route_adaptively() {
             *candidates
                 .iter()
                 .min_by_key(|&&pi| {
-                    let link = &self.links[self.live_link_of[node.index()][pi]];
+                    let link = &self.links[self.link_of[node.index()][pi]];
                     (link.backlog() + usize::from(link.is_busy()), pi)
                 })
                 .expect("non-empty candidates")
         } else {
             candidates[0]
         };
-        self.live_link_of[node.index()][chosen]
+        self.link_of[node.index()][chosen]
     }
 
     /// Grant the head-of-queue packet on `link_id` and schedule its arrival
@@ -937,16 +310,8 @@ impl<T: Topology> NetworkSim<T> {
         let Some(msg) = self.links[link_id].grant() else {
             return;
         };
-        // A degraded link stretches everything paced by the wire — transfer
-        // occupancy, serialization, and flight — by a fixed factor (1 when
-        // healthy, so the arithmetic below is bit-identical to a fault-free
-        // build). An armed transient costs one extra transfer + flight: the
-        // receiver's CRC rejects the flit and the link layer resends it.
-        let stretch = self.links[link_id].degrade_factor();
-        let retransmit = self.links[link_id].take_corruption();
         let m = &mut self.msgs[msg.index()];
-        let transfer =
-            SimDuration::transfer_time(m.bytes, self.timing.bandwidth_gbps).saturating_mul(stretch);
+        let transfer = SimDuration::transfer_time(m.bytes, self.timing.bandwidth_gbps);
         let backlog = self.links[link_id].backlog() as u32;
         let penalty = SimDuration::from_ns(
             f64::from(backlog.min(self.timing.congestion_cap))
@@ -958,64 +323,29 @@ impl<T: Topology> NetworkSim<T> {
             m.serialized = true;
             transfer
         };
-        let wire = self
-            .timing
-            .wire(self.links[link_id].class)
-            .saturating_mul(stretch);
-        let resend = if retransmit {
-            transfer + wire
-        } else {
-            SimDuration::ZERO
-        };
-        let occupancy = transfer
-            + penalty
-            + if retransmit {
-                transfer
-            } else {
-                SimDuration::ZERO
-            };
+        let wire = self.timing.wire(self.links[link_id].class);
+        let occupancy = transfer + penalty;
         m.hops += 1;
         // Per-hop latency attribution. The arrival below fires at exactly
-        // grant + router + wire + serialization + penalty (+ resend), so
-        // these integer picosecond charges sum to the end-to-end latency
-        // with no rounding. A retransmit is charged as a second
-        // serialization plus a second wire flight. `enqueued_at` then moves
-        // to the arrival instant: the message joins its next output queue
-        // the moment it arrives, so the next hop's grant wait is measured
-        // from there (and an eviction re-route keeps accruing queue time
-        // against the same epoch).
+        // grant + router + wire + serialization + penalty, so these integer
+        // picosecond charges sum to the end-to-end latency with no
+        // rounding. `enqueued_at` then moves to the arrival instant: the
+        // message joins its next output queue the moment it arrives, so the
+        // next hop's grant wait is measured from there.
         m.acc.queued_ps += now.since(m.enqueued_at).as_ps();
         m.acc.router_ps += self.timing.router_latency.as_ps();
-        m.acc.wire_ps += wire.as_ps() + if retransmit { wire.as_ps() } else { 0 };
-        m.acc.serialization_ps +=
-            serialization.as_ps() + if retransmit { transfer.as_ps() } else { 0 };
+        m.acc.wire_ps += wire.as_ps();
+        m.acc.serialization_ps += serialization.as_ps();
         m.acc.congestion_ps += penalty.as_ps();
-        let arrive_at = now + self.timing.router_latency + wire + serialization + penalty + resend;
+        let arrive_at = now + self.timing.router_latency + wire + serialization + penalty;
         m.enqueued_at = arrive_at;
         let to = self.links[link_id].to;
-        let (class, bytes, tag) = (m.class, m.bytes, m.tag);
+        let (class, bytes) = (m.class, m.bytes);
         self.links[link_id].account(class, bytes, occupancy);
-        if let Some(tr) = self.trace.as_deref_mut() {
-            let tid = link_id as u32;
-            tr.complete(
-                class.name(),
-                "link",
-                PID_LINKS,
-                tid,
-                now.as_ps(),
-                occupancy.as_ps(),
-                &[("tag", tag), ("backlog", u64::from(backlog))],
-            );
-        }
-        let to_shard = self.region.region_of(to);
-        let free_shard = self.region.region_of(self.links[link_id].from);
         self.events
-            .schedule(to_shard, arrive_at, Event::Arrive { msg, node: to });
-        self.events.schedule(
-            free_shard,
-            now + occupancy,
-            Event::LinkFree { link: link_id },
-        );
+            .schedule(arrive_at, Event::Arrive { msg, node: to });
+        self.events
+            .schedule(now + occupancy, Event::LinkFree { link: link_id });
     }
 
     /// The zero-load latency of a `bytes`-sized message over `hops` hops of
@@ -1051,10 +381,8 @@ impl<T: Topology> NetworkSim<T> {
             .map(move |l| (l.from, l.to, l.dir, l.utilization(now), l.bytes()))
     }
 
-    /// Mean utilization of *live* links whose direction satisfies `pred`
-    /// (e.g. horizontal for the GUPS East/West analysis, Fig. 24). Dead
-    /// links are excluded so a wounded fabric is not averaged down by wires
-    /// that cannot carry traffic.
+    /// Mean utilization of links whose direction satisfies `pred` (e.g.
+    /// horizontal for the GUPS East/West analysis, Fig. 24).
     pub fn mean_utilization_where(
         &self,
         pred: impl Fn(Option<alphasim_topology::Direction>) -> bool,
@@ -1063,23 +391,13 @@ impl<T: Topology> NetworkSim<T> {
         let (sum, n) = self
             .links
             .iter()
-            .filter(|l| l.is_alive() && pred(l.dir))
+            .filter(|l| pred(l.dir))
             .fold((0.0, 0usize), |(s, n), l| (s + l.utilization(now), n + 1));
         if n == 0 {
             0.0
         } else {
             sum / n as f64
         }
-    }
-
-    /// The directed links currently dead, as `(from, to)` pairs in link-id
-    /// order — consumers reporting per-link bandwidth should skip these.
-    pub fn dead_links(&self) -> Vec<(NodeId, NodeId)> {
-        self.links
-            .iter()
-            .filter(|l| !l.is_alive())
-            .map(|l| (l.from, l.to))
-            .collect()
     }
 
     /// Total bytes delivered onto links of the whole fabric.
@@ -1099,10 +417,10 @@ impl<T: Topology> NetworkSim<T> {
         MessageClass::ALL.map(|c| (c, self.links.iter().map(|l| l.class_bytes(c)).sum()))
     }
 
-    /// Mean cumulative busy time of one node's *live* outgoing links, for
-    /// interval sampling of its IP-link gauge.
+    /// Mean cumulative busy time of one node's outgoing links, for interval
+    /// sampling of its IP-link gauge.
     pub fn node_ip_busy(&self, node: NodeId) -> SimDuration {
-        let ids = &self.live_link_of[node.index()];
+        let ids = &self.link_of[node.index()];
         if ids.is_empty() {
             return SimDuration::ZERO;
         }
@@ -1110,7 +428,7 @@ impl<T: Topology> NetworkSim<T> {
         total / ids.len() as u64
     }
 
-    /// Mean cumulative busy time over *live* links whose direction satisfies
+    /// Mean cumulative busy time over links whose direction satisfies
     /// `pred`, for interval sampling (e.g. East/West vs North/South).
     pub fn mean_busy_where(
         &self,
@@ -1119,7 +437,7 @@ impl<T: Topology> NetworkSim<T> {
         let (sum, n) = self
             .links
             .iter()
-            .filter(|l| l.is_alive() && pred(l.dir))
+            .filter(|l| pred(l.dir))
             .fold((SimDuration::ZERO, 0u64), |(s, n), l| {
                 (s + l.busy_time(), n + 1)
             });
@@ -1130,11 +448,11 @@ impl<T: Topology> NetworkSim<T> {
         }
     }
 
-    /// *Live* outgoing-link utilizations of one node, averaged (Xmesh's
-    /// per-node IP-link gauge; a node with every link dead reads 0).
+    /// Outgoing-link utilizations of one node, averaged (Xmesh's per-node
+    /// IP-link gauge).
     pub fn node_ip_utilization(&self, node: NodeId) -> f64 {
         let now = self.now();
-        let ids = &self.live_link_of[node.index()];
+        let ids = &self.link_of[node.index()];
         if ids.is_empty() {
             return 0.0;
         }
@@ -1218,102 +536,6 @@ mod tests {
         tags.sort_unstable();
         tags.dedup();
         assert_eq!(tags.len(), sent);
-    }
-
-    /// Drive random all-to-all traffic, with a link failing and recovering
-    /// mid-run, and return every delivery as a comparable tuple.
-    fn churn_deliveries(shards: usize) -> Vec<(u64, u64, u32, u64)> {
-        let mut net = NetworkSim::new(Torus2D::new(8, 4), LinkTiming::ev7_torus());
-        net.set_shards(shards);
-        let mut rng = DetRng::seeded(23);
-        let n = 32;
-        let mut out = Vec::new();
-        for i in 0..400u64 {
-            let src = rng.index(n);
-            let dst = rng.index_excluding(n, src);
-            net.send(
-                SimTime::from_ps(i * 700),
-                NodeId::new(src),
-                NodeId::new(dst),
-                MessageClass::Request,
-                16,
-                i,
-            );
-            if i == 120 {
-                net.fail_link(NodeId::new(4), NodeId::new(12))
-                    .expect("cutting one link cannot partition a torus");
-            }
-            if i == 300 {
-                net.restore_link(NodeId::new(4), NodeId::new(12))
-                    .expect("link was down");
-            }
-        }
-        for d in net.drain_deliveries() {
-            out.push((d.tag, d.delivered_at.as_ps(), d.hops, d.latency().as_ps()));
-        }
-        out
-    }
-
-    #[test]
-    fn sharded_runs_are_byte_identical_to_unsharded() {
-        // The sharded queue shares one insertion sequence and pops the
-        // global minimum, so the event order — and therefore every delivery
-        // — must match the unsharded run exactly, faults and all.
-        let baseline = churn_deliveries(1);
-        assert!(!baseline.is_empty());
-        for shards in [2, 4] {
-            assert_eq!(
-                churn_deliveries(shards),
-                baseline,
-                "{shards} shards diverged from unsharded run"
-            );
-        }
-    }
-
-    #[test]
-    fn lookahead_tracks_faults_on_the_live_fabric() {
-        let net = sim4x4();
-        assert_eq!(net.conservative_lookahead(), None, "unsharded: no horizon");
-        let mut net = sim4x4();
-        net.set_shards(2);
-        // 4x4 band boundary crossings are North/South Board hops: 20.5 ns.
-        let la = net
-            .conservative_lookahead()
-            .expect("two regions share links");
-        assert_eq!(la.as_ns(), 20.5);
-        // Cutting a boundary link must not *raise* the horizon above the
-        // remaining boundary links (and here they are all the same class).
-        net.fail_link(NodeId::new(4), NodeId::new(8))
-            .expect("single cut is routable");
-        assert_eq!(
-            net.conservative_lookahead().expect("boundary still linked"),
-            la
-        );
-        net.restore_link(NodeId::new(4), NodeId::new(8))
-            .expect("link was down");
-        assert_eq!(net.conservative_lookahead(), Some(la));
-    }
-
-    #[test]
-    fn shard_peaks_attribute_depth_per_region() {
-        let mut net = sim4x4();
-        net.set_shards(2);
-        for dst in 1..16 {
-            net.send(
-                SimTime::ZERO,
-                NodeId::new(0),
-                NodeId::new(dst),
-                MessageClass::Request,
-                16,
-                dst as u64,
-            );
-        }
-        net.drain_deliveries();
-        let peaks = net.shard_event_peaks();
-        assert_eq!(peaks.len(), 2);
-        assert!(peaks[0] > 0, "source region saw events");
-        assert!(peaks[1] > 0, "far band saw arrivals");
-        assert!(peaks.iter().sum::<usize>() >= net.event_queue_peak());
     }
 
     #[test]
@@ -1548,239 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_link_reroutes_queued_traffic_without_loss() {
-        let mut net = sim4x4();
-        // Flood the 0->1 link, then cut it while the backlog is deep. With
-        // drop-in-flight off, every message must still be delivered, just
-        // over detours.
-        for i in 0..30 {
-            net.send(
-                SimTime::ZERO,
-                NodeId::new(0),
-                NodeId::new(1),
-                MessageClass::Io, // deterministic single path: all queue on 0->1
-                64,
-                i,
-            );
-        }
-        let mut delivered = 0;
-        let mut steps = 0;
-        while let Some(step) = net.step() {
-            steps += 1;
-            if steps == 5 {
-                net.fail_link(NodeId::new(0), NodeId::new(1)).unwrap();
-                assert_eq!(net.dead_link_count(), 2, "both directions die");
-            }
-            if let Step::Delivered(_) = step {
-                delivered += 1;
-            }
-        }
-        assert_eq!(delivered, 30, "no message may be lost to rerouting");
-        assert_eq!(net.dropped_count(), 0);
-        assert!(net.rerouted_count() > 0, "backlog must have been evicted");
-        // Delivered over detours: some messages took more than one hop.
-        assert!(net.delivered_count() == 30);
-    }
-
-    #[test]
-    fn drop_in_flight_reports_the_wire_occupant() {
-        let mut net = sim4x4();
-        net.set_drop_in_flight(true);
-        for i in 0..5 {
-            net.send(
-                SimTime::ZERO,
-                NodeId::new(0),
-                NodeId::new(1),
-                MessageClass::Io,
-                64,
-                i,
-            );
-        }
-        let mut drops = Vec::new();
-        let mut delivered = 0;
-        let mut cut = false;
-        while let Some(step) = net.step() {
-            if !cut && net.now() > SimTime::ZERO {
-                cut = true;
-                net.fail_link(NodeId::new(0), NodeId::new(1)).unwrap();
-            }
-            match step {
-                Step::Dropped(d) => drops.push(d),
-                Step::Delivered(_) => delivered += 1,
-                _ => {}
-            }
-        }
-        assert_eq!(drops.len(), 1, "exactly the wire occupant is lost");
-        assert_eq!(net.dropped_count(), 1);
-        assert_eq!(delivered, 4, "the evicted backlog reroutes and arrives");
-        assert_eq!(drops[0].dst, NodeId::new(1));
-        // The freed slot is reusable.
-        assert_eq!(net.free_slot_count(), net.msg_slot_count());
-    }
-
-    #[test]
-    fn partitioning_failure_is_rolled_back() {
-        let mut net = sim4x4();
-        net.fail_link(NodeId::new(0), NodeId::new(1)).unwrap();
-        net.fail_link(NodeId::new(0), NodeId::new(3)).unwrap();
-        net.fail_link(NodeId::new(0), NodeId::new(4)).unwrap();
-        // Node 0's last link: cutting it would strand it.
-        let err = net.fail_link(NodeId::new(0), NodeId::new(12)).unwrap_err();
-        assert!(matches!(err, FaultError::Partitioned { .. }));
-        assert_eq!(net.dead_link_count(), 6, "rollback revives the last link");
-        // The fabric must still route: node 0 only via node 12.
-        net.send(
-            net.now(),
-            NodeId::new(0),
-            NodeId::new(5),
-            MessageClass::Request,
-            16,
-            7,
-        );
-        let d = net.drain_deliveries();
-        assert_eq!(d.len(), 1);
-        assert!(d[0].hops >= 3, "must detour through node 12");
-    }
-
-    #[test]
-    fn fail_and_restore_roundtrip() {
-        let mut net = sim4x4();
-        assert_eq!(
-            net.fail_link(NodeId::new(0), NodeId::new(10)),
-            Err(FaultError::NoSuchLink {
-                a: NodeId::new(0),
-                b: NodeId::new(10)
-            })
-        );
-        net.fail_link(NodeId::new(0), NodeId::new(1)).unwrap();
-        assert_eq!(
-            net.fail_link(NodeId::new(0), NodeId::new(1)),
-            Err(FaultError::AlreadyInState {
-                a: NodeId::new(0),
-                b: NodeId::new(1),
-                alive: false
-            })
-        );
-        net.restore_link(NodeId::new(0), NodeId::new(1)).unwrap();
-        assert_eq!(net.dead_link_count(), 0);
-        assert_eq!(
-            net.restore_link(NodeId::new(0), NodeId::new(1)),
-            Err(FaultError::AlreadyInState {
-                a: NodeId::new(0),
-                b: NodeId::new(1),
-                alive: true
-            })
-        );
-        // Healed fabric routes minimally again.
-        net.send(
-            net.now(),
-            NodeId::new(0),
-            NodeId::new(1),
-            MessageClass::Request,
-            16,
-            0,
-        );
-        let d = net.drain_deliveries();
-        assert_eq!(d[0].hops, 1);
-    }
-
-    #[test]
-    fn fault_plan_strikes_mid_run() {
-        use alphasim_kernel::{FaultKind, FaultPlan};
-        let mut net = sim4x4();
-        let mut plan = FaultPlan::new();
-        plan.push(
-            SimTime::ZERO + SimDuration::from_ns(50.0),
-            FaultKind::LinkDown { a: 0, b: 1 },
-        );
-        plan.push(
-            SimTime::ZERO + SimDuration::from_ns(400.0),
-            FaultKind::NodeDrain { node: 2 },
-        );
-        net.install_fault_plan(&plan);
-        net.set_timer(SimTime::ZERO + SimDuration::from_ns(600.0), 99);
-        for i in 0..10u64 {
-            net.send(
-                SimTime::from_ps(i * 10_000),
-                NodeId::new(0),
-                NodeId::new(1),
-                MessageClass::Request,
-                64,
-                i,
-            );
-        }
-        let mut faults = Vec::new();
-        let mut timers = Vec::new();
-        let mut delivered = 0;
-        while let Some(step) = net.step() {
-            match step {
-                Step::Fault(k) => faults.push(k),
-                Step::Timer(t) => timers.push(t),
-                Step::Delivered(_) => delivered += 1,
-                _ => {}
-            }
-        }
-        assert_eq!(
-            faults,
-            vec![
-                FaultKind::LinkDown { a: 0, b: 1 },
-                FaultKind::NodeDrain { node: 2 }
-            ]
-        );
-        assert_eq!(timers, vec![99]);
-        assert_eq!(delivered, 10);
-        assert!(net.is_drained(NodeId::new(2)));
-        assert!(!net.is_drained(NodeId::new(0)));
-        assert_eq!(
-            net.dead_links(),
-            vec![
-                (NodeId::new(0), NodeId::new(1)),
-                (NodeId::new(1), NodeId::new(0)),
-            ]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "drained node")]
-    fn sends_from_drained_nodes_are_rejected() {
-        let mut net = sim4x4();
-        net.drain_node(NodeId::new(3));
-        net.send(
-            SimTime::ZERO,
-            NodeId::new(3),
-            NodeId::new(0),
-            MessageClass::Request,
-            16,
-            0,
-        );
-    }
-
-    #[test]
-    fn dead_links_are_excluded_from_gauges() {
-        let mut net = sim4x4();
-        for i in 0..50 {
-            net.send(
-                SimTime::ZERO,
-                NodeId::new(0),
-                NodeId::new(1),
-                MessageClass::Request,
-                64,
-                i,
-            );
-        }
-        net.drain();
-        let before = net.node_ip_utilization(NodeId::new(0));
-        net.fail_link(NodeId::new(0), NodeId::new(1)).unwrap();
-        let after = net.node_ip_utilization(NodeId::new(0));
-        assert!(
-            after < before,
-            "dead busy link must leave the gauge: {before} -> {after}"
-        );
-        let horiz = net.mean_utilization_where(|d| d.is_some_and(|d| d.is_horizontal()));
-        assert!(horiz < before);
-    }
-
-    #[test]
     fn horizontal_vs_vertical_utilization_filter() {
         let mut net = sim4x4();
         // Traffic only along row 0.
@@ -1854,307 +843,5 @@ mod tests {
         let d = net.drain_deliveries();
         assert_eq!(d[0].breakdown, Default::default());
         assert_eq!(d[0].breakdown.total_ps(), 0);
-    }
-
-    #[test]
-    fn breakdown_identity_survives_eviction_reroute() {
-        // Cut a loaded link mid-run; evicted messages are re-routed, and the
-        // time stranded on the dead link's queue must land in `queued_ps` so
-        // the identity still holds exactly.
-        let mut net = sim4x4();
-        for i in 0..30 {
-            net.send(
-                SimTime::ZERO,
-                NodeId::new(0),
-                NodeId::new(1),
-                MessageClass::Io,
-                64,
-                i,
-            );
-        }
-        let mut steps = 0;
-        let mut deliveries = Vec::new();
-        while let Some(step) = net.step() {
-            steps += 1;
-            if steps == 5 {
-                net.fail_link(NodeId::new(0), NodeId::new(1)).unwrap();
-            }
-            if let Step::Delivered(d) = step {
-                deliveries.push(d);
-            }
-        }
-        assert_eq!(deliveries.len(), 30);
-        assert!(net.rerouted_count() > 0);
-        for d in &deliveries {
-            assert_eq!(d.breakdown.total_ps(), d.latency().as_ps(), "tag {}", d.tag);
-        }
-    }
-
-    #[test]
-    fn trace_records_message_and_link_lanes() {
-        let mut net = sim4x4();
-        assert!(!net.trace_enabled());
-        net.enable_trace();
-        assert!(net.trace_enabled());
-        net.send(
-            SimTime::ZERO,
-            NodeId::new(0),
-            NodeId::new(5),
-            MessageClass::Request,
-            16,
-            7,
-        );
-        net.drain();
-        let trace = net.take_trace().expect("sink was attached");
-        assert!(!net.trace_enabled());
-        // One lifetime event plus one occupancy event per hop (two hops).
-        assert_eq!(trace.len(), 3);
-        let body = trace.to_json_string();
-        assert!(body.contains("\"Request\""), "{body}");
-        assert!(body.contains("network: link occupancy"), "{body}");
-        assert!(body.contains("\"tag\":7"), "{body}");
-    }
-
-    #[test]
-    fn tracing_does_not_change_delivery_results() {
-        let run = |traced: bool| {
-            let mut net = sim4x4();
-            if traced {
-                net.enable_trace();
-            }
-            let mut rng = DetRng::seeded(5);
-            for i in 0..100u64 {
-                let src = rng.index(16);
-                let dst = rng.index_excluding(16, src);
-                net.send(
-                    SimTime::from_ps(i * 800),
-                    NodeId::new(src),
-                    NodeId::new(dst),
-                    MessageClass::Request,
-                    32,
-                    i,
-                );
-            }
-            net.drain_deliveries()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn degraded_link_stretches_latency_and_sums_exactly() {
-        // One hop, no contention: a degraded link multiplies the wire and
-        // serialization terms by the stretch factor and nothing else, and
-        // the breakdown identity holds through the slowdown.
-        let timing = LinkTiming::ev7_torus();
-        let healthy = {
-            let mut net = sim4x4();
-            net.send(
-                SimTime::ZERO,
-                NodeId::new(0),
-                NodeId::new(1),
-                MessageClass::Request,
-                64,
-                0,
-            );
-            net.drain_deliveries()[0].latency()
-        };
-        let mut net = sim4x4();
-        net.degrade_link(NodeId::new(0), NodeId::new(1)).unwrap();
-        assert_eq!(net.degraded_link_count(), 2, "both directions slow down");
-        net.send(
-            SimTime::ZERO,
-            NodeId::new(0),
-            NodeId::new(1),
-            MessageClass::Request,
-            64,
-            0,
-        );
-        let d = net.drain_deliveries();
-        let stretch = alphasim_kernel::fault::DEGRADE_FACTOR;
-        let expect =
-            timing.router_latency + (healthy - timing.router_latency).saturating_mul(stretch);
-        assert_eq!(d[0].latency(), expect);
-        assert_eq!(d[0].breakdown.total_ps(), d[0].latency().as_ps());
-        // Healing restores full speed without a topology rebuild.
-        net.restore_link(NodeId::new(0), NodeId::new(1)).unwrap();
-        assert_eq!(net.degraded_link_count(), 0);
-        net.send(
-            net.now(),
-            NodeId::new(0),
-            NodeId::new(1),
-            MessageClass::Request,
-            64,
-            1,
-        );
-        let d = net.drain_deliveries();
-        assert_eq!(d[0].latency(), healthy);
-    }
-
-    #[test]
-    fn degrade_errors_are_named() {
-        let mut net = sim4x4();
-        net.degrade_link(NodeId::new(0), NodeId::new(1)).unwrap();
-        assert!(matches!(
-            net.degrade_link(NodeId::new(0), NodeId::new(1)),
-            Err(FaultError::BadState { .. })
-        ));
-        net.restore_link(NodeId::new(0), NodeId::new(1)).unwrap();
-        assert_eq!(
-            net.restore_link(NodeId::new(0), NodeId::new(1)),
-            Err(FaultError::AlreadyInState {
-                a: NodeId::new(0),
-                b: NodeId::new(1),
-                alive: true
-            })
-        );
-        net.fail_link(NodeId::new(0), NodeId::new(1)).unwrap();
-        assert!(matches!(
-            net.degrade_link(NodeId::new(0), NodeId::new(1)),
-            Err(FaultError::BadState { .. })
-        ));
-        assert!(matches!(
-            net.corrupt_next_flit(NodeId::new(0), NodeId::new(1)),
-            Err(FaultError::BadState { .. })
-        ));
-    }
-
-    #[test]
-    fn crc_retransmit_costs_one_extra_transfer_and_flight() {
-        // A corrupted flit is caught by CRC at the receiver and retransmitted
-        // by the link layer: exactly one extra serialization plus one extra
-        // wire flight on that hop, charged so the identity still balances.
-        let healthy = {
-            let mut net = sim4x4();
-            net.send(
-                SimTime::ZERO,
-                NodeId::new(0),
-                NodeId::new(1),
-                MessageClass::Request,
-                64,
-                0,
-            );
-            net.drain_deliveries()[0].latency()
-        };
-        let timing = LinkTiming::ev7_torus();
-        let mut net = sim4x4();
-        net.corrupt_next_flit(NodeId::new(0), NodeId::new(1))
-            .unwrap();
-        net.send(
-            SimTime::ZERO,
-            NodeId::new(0),
-            NodeId::new(1),
-            MessageClass::Request,
-            64,
-            0,
-        );
-        let d = net.drain_deliveries();
-        // Resend = transfer + wire = healthy minus the router pipeline.
-        assert_eq!(d[0].latency(), healthy + (healthy - timing.router_latency));
-        assert_eq!(d[0].breakdown.total_ps(), d[0].latency().as_ps());
-        assert_eq!(net.crc_retransmit_count(), 1);
-        // The transient fires once; the next flit flies clean.
-        net.send(
-            net.now(),
-            NodeId::new(0),
-            NodeId::new(1),
-            MessageClass::Request,
-            64,
-            1,
-        );
-        let d = net.drain_deliveries();
-        assert_eq!(d[0].latency(), healthy);
-        assert_eq!(net.crc_retransmit_count(), 1);
-    }
-
-    #[test]
-    fn router_pause_stalls_departures_until_the_window_lifts() {
-        let mut net = sim4x4();
-        let pause = SimDuration::from_ns(200.0);
-        net.pause_router(NodeId::new(0), pause);
-        net.send(
-            SimTime::ZERO,
-            NodeId::new(0),
-            NodeId::new(1),
-            MessageClass::Request,
-            64,
-            0,
-        );
-        let d = net.drain_deliveries();
-        assert_eq!(d.len(), 1);
-        assert!(
-            d[0].delivered_at >= SimTime::ZERO + pause,
-            "delivery at {} must wait out the pause",
-            d[0].delivered_at
-        );
-        assert_eq!(d[0].breakdown.total_ps(), d[0].latency().as_ps());
-    }
-
-    #[test]
-    fn pausing_a_busy_router_extends_its_occupancy() {
-        // Pause struck mid-transfer: the in-flight message finishes, but the
-        // channel's release re-arms to the pause end, stalling the queue
-        // behind it. Everything still delivers and the identity holds.
-        let mut net = sim4x4();
-        for i in 0..10 {
-            net.send(
-                SimTime::ZERO,
-                NodeId::new(0),
-                NodeId::new(1),
-                MessageClass::Request,
-                64,
-                i,
-            );
-        }
-        let mut steps = 0;
-        let mut deliveries = Vec::new();
-        while let Some(step) = net.step() {
-            steps += 1;
-            if steps == 3 {
-                net.pause_router(NodeId::new(0), SimDuration::from_us(1.0));
-            }
-            if let Step::Delivered(d) = step {
-                deliveries.push(d);
-            }
-        }
-        assert_eq!(deliveries.len(), 10);
-        for d in &deliveries {
-            assert_eq!(d.breakdown.total_ps(), d.latency().as_ps(), "tag {}", d.tag);
-        }
-        let last = deliveries.iter().map(|d| d.delivered_at).max().unwrap();
-        assert!(
-            last >= SimTime::ZERO + SimDuration::from_us(1.0),
-            "the backlog must wait out the brownout"
-        );
-    }
-
-    #[test]
-    fn undrain_returns_a_node_to_service() {
-        let mut net = sim4x4();
-        net.drain_node(NodeId::new(3));
-        assert!(net.is_drained(NodeId::new(3)));
-        net.undrain_node(NodeId::new(3));
-        assert!(!net.is_drained(NodeId::new(3)));
-        // Undraining a healthy node is a no-op, not an error.
-        net.undrain_node(NodeId::new(3));
-        net.send(
-            SimTime::ZERO,
-            NodeId::new(3),
-            NodeId::new(0),
-            MessageClass::Request,
-            16,
-            0,
-        );
-        assert_eq!(net.drain_deliveries().len(), 1);
-    }
-
-    #[test]
-    fn audits_pass_on_healthy_and_wounded_fabrics() {
-        let mut net = sim4x4();
-        net.audit_routes().unwrap();
-        net.audit_lookahead().unwrap();
-        net.fail_link(NodeId::new(0), NodeId::new(1)).unwrap();
-        net.degrade_link(NodeId::new(2), NodeId::new(3)).unwrap();
-        net.audit_routes().unwrap();
-        net.audit_lookahead().unwrap();
     }
 }

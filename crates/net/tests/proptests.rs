@@ -173,32 +173,4 @@ proptest! {
             "restores did not recover the healthy lookahead"
         );
     }
-
-    /// Sharding the event queue must not change a single delivery: same
-    /// messages, same times, same hops at any shard count.
-    #[test]
-    fn sharded_deliveries_match_unsharded(
-        msgs in prop::collection::vec((0usize..32, 0usize..32, 0u64..20_000), 1..60),
-        shards in 2usize..=5,
-    ) {
-        let run = |shards: usize| {
-            let mut net = NetworkSim::new(Torus2D::new(8, 4), LinkTiming::ev7_torus());
-            net.set_shards(shards);
-            for (i, &(src, dst, at)) in msgs.iter().enumerate() {
-                net.send(
-                    SimTime::from_ps(at),
-                    NodeId::new(src),
-                    NodeId::new(dst),
-                    MessageClass::Request,
-                    32,
-                    i as u64,
-                );
-            }
-            net.drain_deliveries()
-                .into_iter()
-                .map(|d| (d.tag, d.delivered_at, d.hops))
-                .collect::<Vec<_>>()
-        };
-        prop_assert_eq!(run(1), run(shards));
-    }
 }

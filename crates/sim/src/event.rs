@@ -18,18 +18,75 @@ pub fn take_peak_event_depth() -> u64 {
     EVENT_QUEUE_PEAK.take()
 }
 
-/// The heap's order: the event's time and insertion sequence packed into
-/// one `u128` (`time << 64 | seq`). The packing makes ordering a single
-/// integer comparison — branchless and mispredict-free, which matters
-/// because a 4-ary heap trades extra comparisons for fewer levels.
+/// The heap's order: the event's time and a tiebreak (the insertion
+/// sequence here, a caller-assigned id in the epoch engine) packed into
+/// one `u128` (`time << 64 | tiebreak`). The packing makes ordering a
+/// single integer comparison — branchless and mispredict-free, which
+/// matters because a 4-ary heap trades extra comparisons for fewer levels.
 #[inline]
-fn pack(at: SimTime, seq: u64) -> u128 {
-    (u128::from(at.as_ps()) << 64) | u128::from(seq)
+pub(crate) fn pack(at: SimTime, tiebreak: u64) -> u128 {
+    (u128::from(at.as_ps()) << 64) | u128::from(tiebreak)
 }
 
 #[inline]
-fn unpack_time(ord: u128) -> SimTime {
-    SimTime::from_ps((ord >> 64) as u64)
+pub(crate) fn unpack_time(key: u128) -> SimTime {
+    SimTime::from_ps((key >> 64) as u64)
+}
+
+/// Push onto a 4-ary implicit min-heap (children of `i` at `4i+1..=4i+4`).
+/// Sift up by swapping; new events rarely climb more than a level or two,
+/// and the key comparison is a single branch on a `u128`.
+pub(crate) fn heap_push<E>(heap: &mut Vec<(u128, E)>, key: u128, payload: E) {
+    heap.push((key, payload));
+    let mut i = heap.len() - 1;
+    while i > 0 {
+        let parent = (i - 1) / 4;
+        if key < heap[parent].0 {
+            heap.swap(i, parent);
+            i = parent;
+        } else {
+            break;
+        }
+    }
+}
+
+/// Pop the minimum off a 4-ary implicit min-heap: move the last entry into
+/// the root in one step, then sift it down. The min-child scan compares
+/// single `u128` keys (conditional moves, no mispredicts); the sifted entry
+/// came from the bottom, so the per-level early-exit test is predictably
+/// "keep going".
+pub(crate) fn heap_pop<E>(heap: &mut Vec<(u128, E)>) -> Option<(u128, E)> {
+    if heap.is_empty() {
+        return None;
+    }
+    let entry = heap.swap_remove(0);
+    let len = heap.len();
+    if len > 1 {
+        let sifted = heap[0].0;
+        let mut i = 0;
+        loop {
+            let first = 4 * i + 1;
+            if first >= len {
+                break;
+            }
+            let end = (first + 4).min(len);
+            let mut best = first;
+            let mut bk = heap[first].0;
+            for (off, entry) in heap[first + 1..end].iter().enumerate() {
+                if entry.0 < bk {
+                    best = first + 1 + off;
+                    bk = entry.0;
+                }
+            }
+            if bk < sifted {
+                heap.swap(i, best);
+                i = best;
+            } else {
+                break;
+            }
+        }
+    }
+    Some(entry)
 }
 
 /// A future-event list: a priority queue of `(SimTime, E)` pairs that pops
@@ -113,20 +170,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let key = pack(at, seq);
-        self.heap.push((key, payload));
-        // Sift up by swapping; new events rarely climb more than a level or
-        // two, and the key comparison is a single branch on a u128.
-        let mut i = self.heap.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if key < self.heap[parent].0 {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
+        heap_push(&mut self.heap, pack(at, seq), payload);
         if self.heap.len() > self.peak_len {
             self.peak_len = self.heap.len();
         }
@@ -135,42 +179,8 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event, advancing the simulation clock
     /// to its timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        // Move the last entry into the root in one step, then sift it down.
-        let (key, payload) = self.heap.swap_remove(0);
+        let (key, payload) = heap_pop(&mut self.heap)?;
         let time = unpack_time(key);
-        let len = self.heap.len();
-        if len > 1 {
-            // The min-child scan compares single u128 keys (conditional
-            // moves, no mispredicts); the sifted entry came from the bottom,
-            // so the per-level early-exit test is predictably "keep going".
-            let sifted = self.heap[0].0;
-            let mut i = 0;
-            loop {
-                let first = 4 * i + 1;
-                if first >= len {
-                    break;
-                }
-                let end = (first + 4).min(len);
-                let mut best = first;
-                let mut bk = self.heap[first].0;
-                for child in (first + 1)..end {
-                    let ck = self.heap[child].0;
-                    if ck < bk {
-                        best = child;
-                        bk = ck;
-                    }
-                }
-                if bk < sifted {
-                    self.heap.swap(i, best);
-                    i = best;
-                } else {
-                    break;
-                }
-            }
-        }
         debug_assert!(time >= self.now);
         self.now = time;
         Some((time, payload))

@@ -12,9 +12,9 @@
 //!   and time-series samplers used by the performance-counter ("Xmesh") layer;
 //! * [`par`] — an ordered [`par::parallel_map`] used to fan independent
 //!   simulations out across OS threads without changing their results;
-//! * [`shard`] — region-sharded event queues ([`ShardedEventQueue`]) and a
-//!   conservative-lookahead epoch scheduler for parallelism *inside* one
-//!   run, byte-identical at any shard count;
+//! * [`shard`] — the conservative-lookahead epoch scheduler for
+//!   parallelism *inside* one run, byte-identical at any shard and thread
+//!   count;
 //! * [`FaultPlan`] — a seeded, time-sorted schedule of link/node/channel
 //!   failures (and repairs, degradations, transients) for live
 //!   fault-injection runs;
@@ -51,5 +51,4 @@ mod time;
 pub use event::{peak_event_depth, take_peak_event_depth, EventQueue};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use rng::DetRng;
-pub use shard::{take_shard_peak_depths, ShardedEventQueue};
 pub use time::{Frequency, SimDuration, SimTime};

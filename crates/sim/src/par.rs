@@ -11,14 +11,17 @@
 //! wins, then the `ALPHASIM_JOBS` / `RAYON_NUM_THREADS` environment
 //! variables, then [`std::thread::available_parallelism`].
 //!
-//! Intra-run parallelism (the region-sharded event queues of
-//! [`crate::shard`]) has a separate knob, [`shards`], resolved from
-//! [`set_shards`] or `ALPHASIM_SHARDS` and defaulting to 1: sharding is
-//! opt-in per run, while job fan-out is opt-out. [`WorkerPool`] is the
-//! persistent thread pool behind epoch-synchronous sharded execution —
-//! unlike [`parallel_map`] it keeps its threads across rounds, so a
-//! simulation taking thousands of conservative epochs pays two channel
-//! transfers per shard per epoch instead of a thread spawn.
+//! Intra-run parallelism has two separate knobs, both read only by the
+//! epoch engine of [`crate::shard`] (the fault campaigns): [`shards`], the
+//! number of torus row-band regions the engine partitions a run into, and
+//! [`threads`], the pool threads that drive them. Both resolve from their
+//! setter or environment variable and default to 1: intra-run parallelism
+//! is opt-in per run, while job fan-out is opt-out. The fault-free load
+//! tests step one sequential event queue and ignore both. [`WorkerPool`]
+//! is the persistent thread pool behind epoch-synchronous sharded
+//! execution — unlike [`parallel_map`] it keeps its threads across rounds,
+//! so a simulation taking thousands of conservative epochs pays two
+//! channel transfers per shard per epoch instead of a thread spawn.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -32,17 +35,18 @@ static SHARDS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Process-wide epoch-thread override; 0 means "resolve from environment".
 static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Force the region-shard count used by sharded event queues (see
-/// [`shards`]). `0` restores resolution from `ALPHASIM_SHARDS`.
+/// Force the region-shard count of the epoch engine (see [`shards`]).
+/// `0` restores resolution from `ALPHASIM_SHARDS`.
 pub fn set_shards(n: usize) {
     SHARDS_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// The region-shard count for intra-run sharded simulation: [`set_shards`],
-/// else `ALPHASIM_SHARDS`, else 1 (unsharded). Unlike [`jobs`] this never
-/// auto-detects from the machine: artifact output is byte-identical at any
-/// shard count, but the shard count is recorded in `BENCH_sweep.json`, so
-/// it defaults to a fixed, machine-independent value.
+/// The region count the epoch engine partitions a closed-loop campaign
+/// into: [`set_shards`], else `ALPHASIM_SHARDS`, else 1 (one region).
+/// Unlike [`jobs`] this never auto-detects from the machine: artifact
+/// output is byte-identical at any shard count, but the shard count is
+/// recorded in `BENCH_sweep.json`, so it defaults to a fixed,
+/// machine-independent value.
 pub fn shards() -> usize {
     let forced = SHARDS_OVERRIDE.load(Ordering::Relaxed);
     if forced != 0 {

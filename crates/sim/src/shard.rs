@@ -1,23 +1,20 @@
-//! Region-sharded event queues and the conservative epoch scheduler.
+//! The conservative epoch scheduler: parallelism *inside* one run.
 //!
 //! The GS1280 being reproduced is itself a partitioned machine: a 2-D torus
 //! where every hop costs a known, fixed wire latency. This module exploits
-//! the same structure *inside* one simulation run:
+//! the same structure inside one simulation run. [`EpochExecutor`] is the
+//! conservative parallel engine: each region shard owns its slice of
+//! simulation state (a [`ShardWorker`]) and its own event heap, advances
+//! independently up to a **conservative lookahead horizon** — the minimum
+//! latency of any inter-region link — and exchanges cross-region events at
+//! barrier epochs. The lookahead contract is enforced at every emission: a
+//! cross-shard event closer than the horizon panics, because it could land
+//! in a region's past. The region heaps are the same 4-ary heap over packed
+//! `(time << 64 | tiebreak)` keys as [`EventQueue`](crate::EventQueue).
 //!
-//! * [`ShardedEventQueue`] splits the future-event list into per-region
-//!   heaps while preserving the **exact** pop order of a single
-//!   [`EventQueue`](crate::EventQueue): all shards share one insertion
-//!   sequence counter, and `pop` takes the globally minimal packed
-//!   `(time << 64 | seq)` key. Output is therefore byte-identical at any
-//!   shard count *by construction* — the invariant `reproduce --check`
-//!   enforces for every committed artifact.
-//! * [`EpochExecutor`] is the conservative parallel engine: each shard owns
-//!   its slice of simulation state (a [`ShardWorker`]) and its own event
-//!   heap, advances independently up to a **conservative lookahead
-//!   horizon** — the minimum latency of any inter-region link — and
-//!   exchanges cross-region events at barrier epochs. The lookahead
-//!   contract is enforced at every emission: a cross-shard event closer
-//!   than the horizon panics, because it could land in a region's past.
+//! This engine is the only consumer of the region-shard count
+//! ([`crate::par::shards`]): the fault campaigns run on it, while the
+//! paper's fault-free load tests step one sequential event queue.
 //!
 //! Determinism of the parallel engine does not come from scheduling luck:
 //! shards are **owned values** moved through the
@@ -35,266 +32,9 @@
 //! a worker cannot even type an effect that bypasses the lookahead
 //! contract. `cargo run -p verify --bin ownership` enforces it in CI.
 
-use alphasim_telemetry::global::{EVENT_QUEUE_PEAK, EVENT_QUEUE_SHARD_PEAKS, MAX_TRACKED_SHARDS};
-
+use crate::event::{heap_pop, heap_push, pack, unpack_time};
 use crate::par::WorkerPool;
 use crate::time::{SimDuration, SimTime};
-
-/// Packed heap key: `time << 64 | tiebreak` — one `u128` comparison orders
-/// events by time, then tiebreak. Identical to the packing in
-/// [`EventQueue`](crate::EventQueue), which is what makes the sharded
-/// queue's pop order provably equal to the single queue's.
-#[inline]
-fn pack(at: SimTime, tiebreak: u64) -> u128 {
-    (u128::from(at.as_ps()) << 64) | u128::from(tiebreak)
-}
-
-#[inline]
-fn unpack_time(key: u128) -> SimTime {
-    SimTime::from_ps((key >> 64) as u64)
-}
-
-/// Push onto a 4-ary implicit min-heap (children of `i` at `4i+1..=4i+4`).
-fn heap_push<E>(heap: &mut Vec<(u128, E)>, key: u128, payload: E) {
-    heap.push((key, payload));
-    let mut i = heap.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 4;
-        if key < heap[parent].0 {
-            heap.swap(i, parent);
-            i = parent;
-        } else {
-            break;
-        }
-    }
-}
-
-/// Pop the minimum off a 4-ary implicit min-heap.
-fn heap_pop<E>(heap: &mut Vec<(u128, E)>) -> Option<(u128, E)> {
-    if heap.is_empty() {
-        return None;
-    }
-    let entry = heap.swap_remove(0);
-    let len = heap.len();
-    if len > 1 {
-        let sifted = heap[0].0;
-        let mut i = 0;
-        loop {
-            let first = 4 * i + 1;
-            if first >= len {
-                break;
-            }
-            let end = (first + 4).min(len);
-            let mut best = first;
-            let mut bk = heap[first].0;
-            for (off, entry) in heap[first + 1..end].iter().enumerate() {
-                if entry.0 < bk {
-                    best = first + 1 + off;
-                    bk = entry.0;
-                }
-            }
-            if bk < sifted {
-                heap.swap(i, best);
-                i = best;
-            } else {
-                break;
-            }
-        }
-    }
-    Some(entry)
-}
-
-/// A future-event list partitioned into per-region shards, with the exact
-/// pop order of a single [`EventQueue`](crate::EventQueue).
-///
-/// Every `schedule` draws from one shared insertion-sequence counter and
-/// `pop` removes the globally smallest `(time, seq)` key, so the pop
-/// sequence is independent of how events are assigned to shards — sharding
-/// changes *where* an event waits, never *when* it fires. What sharding
-/// adds is structure: per-shard high-water marks (the congestion signature
-/// of each torus region) and the partitioning a conservative parallel
-/// executor needs.
-///
-/// # Examples
-///
-/// ```
-/// use alphasim_kernel::shard::ShardedEventQueue;
-/// use alphasim_kernel::SimTime;
-///
-/// let mut q = ShardedEventQueue::new(2);
-/// q.schedule(1, SimTime::from_ps(10), 'b');
-/// q.schedule(0, SimTime::from_ps(5), 'a');
-/// assert_eq!(q.pop(), Some((SimTime::from_ps(5), 'a')));
-/// assert_eq!(q.pop(), Some((SimTime::from_ps(10), 'b')));
-/// ```
-pub struct ShardedEventQueue<E> {
-    shards: Vec<Vec<(u128, E)>>,
-    /// Shared across shards: the global FIFO order among simultaneous
-    /// events, exactly as in the unsharded queue.
-    next_seq: u64,
-    now: SimTime,
-    len: usize,
-    peak_len: usize,
-    shard_peaks: Vec<usize>,
-}
-
-impl<E> ShardedEventQueue<E> {
-    /// An empty queue with `shards` regions (at least one), positioned at
-    /// [`SimTime::ZERO`].
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardedEventQueue {
-            shards: (0..shards).map(|_| Vec::new()).collect(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            len: 0,
-            peak_len: 0,
-            shard_peaks: vec![0; shards],
-        }
-    }
-
-    /// Number of region shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Schedule `payload` on `shard` to fire at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current simulation time or
-    /// `shard` is out of range.
-    pub fn schedule(&mut self, shard: usize, at: SimTime, payload: E) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at} now={now}",
-            at = at,
-            now = self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        heap_push(&mut self.shards[shard], pack(at, seq), payload);
-        self.len += 1;
-        if self.shards[shard].len() > self.shard_peaks[shard] {
-            self.shard_peaks[shard] = self.shards[shard].len();
-        }
-        if self.len > self.peak_len {
-            self.peak_len = self.len;
-        }
-    }
-
-    /// Remove and return the globally earliest event, advancing the clock
-    /// to its timestamp. `None` when every shard is empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let mut best: Option<(usize, u128)> = None;
-        for (i, heap) in self.shards.iter().enumerate() {
-            if let Some(&(key, _)) = heap.first() {
-                if best.is_none_or(|(_, bk)| key < bk) {
-                    best = Some((i, key));
-                }
-            }
-        }
-        let (shard, _) = best?;
-        let (key, payload) = heap_pop(&mut self.shards[shard])?;
-        self.len -= 1;
-        let time = unpack_time(key);
-        debug_assert!(time >= self.now);
-        self.now = time;
-        Some((time, payload))
-    }
-
-    /// Timestamp of the globally earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.shards
-            .iter()
-            .filter_map(|h| h.first().map(|e| e.0))
-            .min()
-            .map(unpack_time)
-    }
-
-    /// The current simulation time (timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Total pending events across all shards.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The most events held at once across all shards since construction
-    /// (or the last [`clear`](Self::clear)).
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    /// Per-shard high-water marks, indexed by shard id.
-    pub fn shard_peaks(&self) -> &[usize] {
-        &self.shard_peaks
-    }
-
-    /// Drop all pending events and rewind to [`SimTime::ZERO`], keeping
-    /// allocations (and flushing peaks to the process-wide gauges).
-    pub fn clear(&mut self) {
-        self.flush_peaks();
-        for heap in &mut self.shards {
-            heap.clear();
-        }
-        self.next_seq = 0;
-        self.now = SimTime::ZERO;
-        self.len = 0;
-    }
-
-    /// Publish high-water marks to the process-wide telemetry gauges and
-    /// reset the local counters. Shards beyond
-    /// [`MAX_TRACKED_SHARDS`] fold into the last gauge.
-    fn flush_peaks(&mut self) {
-        if self.peak_len > 0 {
-            EVENT_QUEUE_PEAK.record_max(self.peak_len as u64);
-            self.peak_len = 0;
-        }
-        for (i, peak) in self.shard_peaks.iter_mut().enumerate() {
-            if *peak > 0 {
-                EVENT_QUEUE_SHARD_PEAKS[i.min(MAX_TRACKED_SHARDS - 1)].record_max(*peak as u64);
-                *peak = 0;
-            }
-        }
-    }
-}
-
-impl<E> Drop for ShardedEventQueue<E> {
-    fn drop(&mut self) {
-        self.flush_peaks();
-    }
-}
-
-/// Read-and-reset the process-wide per-shard peak event-queue depths (the
-/// high-water marks flushed by every [`ShardedEventQueue`] since the last
-/// take), trimmed of trailing zeros. Index `i` is shard `i`'s peak; shards
-/// beyond [`MAX_TRACKED_SHARDS`] fold into the last entry. Empty when no
-/// sharded queue ran.
-pub fn take_shard_peak_depths() -> Vec<u64> {
-    let mut peaks: Vec<u64> = EVENT_QUEUE_SHARD_PEAKS.iter().map(|g| g.take()).collect();
-    while peaks.last() == Some(&0) {
-        peaks.pop();
-    }
-    peaks
-}
-
-impl<E> std::fmt::Debug for ShardedEventQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedEventQueue")
-            .field("shards", &self.shards.len())
-            .field("pending", &self.len)
-            .field("now", &self.now)
-            .finish()
-    }
-}
 
 /// One shard's slice of simulation state in an epoch-parallel run.
 ///
@@ -895,81 +635,6 @@ impl<W: ShardWorker> EpochExecutor<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventQueue;
-
-    #[test]
-    fn pop_order_matches_single_queue_under_churn() {
-        // The construction proof, exercised: shared seq + global-min pop
-        // must reproduce EventQueue's order exactly, however events are
-        // assigned to shards.
-        for shards in [1usize, 2, 4, 7] {
-            let mut single = EventQueue::new();
-            let mut sharded = ShardedEventQueue::new(shards);
-            let mut state = 0x9e37_79b9_7f4a_7c15u64;
-            let mut rng = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let mut now = 0u64;
-            let mut next_id = 0u64;
-            for _ in 0..3_000 {
-                if rng() % 3 != 0 || single.is_empty() {
-                    let at = now + rng() % 89;
-                    single.schedule(SimTime::from_ps(at), next_id);
-                    sharded.schedule(next_id as usize % shards, SimTime::from_ps(at), next_id);
-                    next_id += 1;
-                } else {
-                    let a = single.pop().unwrap();
-                    let b = sharded.pop().unwrap();
-                    assert_eq!(a, b, "diverged at {shards} shards");
-                    now = a.0.as_ps();
-                }
-            }
-            loop {
-                match (single.pop(), sharded.pop()) {
-                    (None, None) => break,
-                    (a, b) => assert_eq!(a, b),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tracks_global_and_per_shard_peaks() {
-        let mut q = ShardedEventQueue::new(2);
-        for i in 0..6u64 {
-            q.schedule(usize::from(i >= 4), SimTime::from_ps(i), i);
-        }
-        assert_eq!(q.peak_len(), 6);
-        assert_eq!(q.shard_peaks(), [4, 2]);
-        while q.pop().is_some() {}
-        assert!(q.is_empty());
-        assert_eq!(q.peak_len(), 6, "peak survives drain");
-    }
-
-    #[test]
-    fn clear_rewinds_clock_and_flushes() {
-        let mut q = ShardedEventQueue::new(3);
-        q.schedule(2, SimTime::from_ps(10), ());
-        q.pop();
-        q.schedule(0, SimTime::from_ps(20), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.schedule(1, SimTime::from_ps(1), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ps(1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduled in the past")]
-    fn rejects_past_events() {
-        let mut q = ShardedEventQueue::new(2);
-        q.schedule(0, SimTime::from_ps(10), ());
-        q.pop();
-        q.schedule(1, SimTime::from_ps(5), ());
-    }
 
     /// A toy partitioned simulation for executor tests: messages hop around
     /// a ring of `nodes` nodes, one hop per `HOP_PS`, each shard owning a

@@ -34,9 +34,10 @@ use alphasim_kernel::stats::MeanP99;
 use alphasim_kernel::{DetRng, FaultKind, FaultPlan, SimDuration, SimTime};
 use alphasim_mem::{Zbox, ZboxConfig};
 use alphasim_net::partition::{tb_inject, FabricTables, NetHeat, RegionNet};
-use alphasim_net::NetworkSim;
+use alphasim_net::LinkTiming;
 use alphasim_telemetry::trace::{PID_LINKS, PID_MEMORY, PID_MESSAGES, PID_SHARDS};
 use alphasim_telemetry::{BreakdownTable, Registry, TraceSink};
+use alphasim_topology::route::RoutePolicy;
 use alphasim_topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -278,56 +279,63 @@ pub(crate) const PIPELINE_STAGES: [&str; 16] = [
     "unattributed (retry / backoff)",
 ];
 
-/// A machine prepared for fault-injection load testing: a network with
-/// drop-on-failure semantics plus one memory controller per CPU node.
+/// A machine prepared for fault-injection load testing: a fabric whose
+/// failing links lose the packets on their wires, plus one memory
+/// controller per CPU node.
 pub struct FaultCampaign<T: Topology> {
-    net: NetworkSim<T>,
+    topo: T,
+    timing: LinkTiming,
+    policy: RoutePolicy,
     cpus: Vec<NodeId>,
     /// One controller per CPU node, indexed by node id (deterministic).
     zboxes: Vec<Zbox>,
     front_overhead: SimDuration,
     directory_overhead: SimDuration,
-    /// Default worker-thread count when the config leaves `threads` at 0
-    /// (machine builders pass their own knob through here).
-    default_threads: usize,
+    /// Default `(region shards, worker threads)` when the config leaves
+    /// `shards`/`threads` at 0 (machine builders pass their own knobs
+    /// through here).
+    default_engine: (usize, usize),
 }
 
 impl<T: Topology> FaultCampaign<T> {
-    /// Assemble a campaign over `net`; each CPU's memory lives on its own
-    /// node (the GS1280 arrangement).
+    /// Assemble a campaign over `topo` with the given link timing and
+    /// routing policy; each CPU's memory lives on its own node (the GS1280
+    /// arrangement).
     pub fn new(
-        mut net: NetworkSim<T>,
+        topo: T,
+        timing: LinkTiming,
+        policy: RoutePolicy,
         zbox: ZboxConfig,
         front_overhead: SimDuration,
         directory_overhead: SimDuration,
     ) -> Self {
-        net.set_drop_in_flight(true);
-        let cpus = net.topology().endpoints();
+        let cpus = topo.endpoints();
         assert!(!cpus.is_empty(), "no CPU endpoints");
-        let nodes = net.topology().node_count();
-        let zboxes = (0..nodes).map(|_| Zbox::new(zbox)).collect();
+        let zboxes = (0..topo.node_count()).map(|_| Zbox::new(zbox)).collect();
         FaultCampaign {
-            net,
+            topo,
+            timing,
+            policy,
             cpus,
             zboxes,
             front_overhead,
             directory_overhead,
-            default_threads: 0,
+            default_engine: (0, 0),
         }
     }
 
-    /// Default worker-thread count for runs whose config leaves `threads`
-    /// at 0 (`0` = fall through to [`alphasim_kernel::par::threads`]).
-    pub fn set_default_threads(&mut self, threads: usize) {
-        self.default_threads = threads;
+    /// Default region-shard and worker-thread counts for runs whose config
+    /// leaves `shards`/`threads` at 0 (`0` = fall through to
+    /// [`alphasim_kernel::par::shards`]/[`threads`](alphasim_kernel::par::threads)).
+    pub fn set_default_engine(&mut self, shards: usize, threads: usize) {
+        self.default_engine = (shards, threads);
     }
 
     /// The bisection mirror of `cpu`: same row, column reflected across the
     /// vertical cut.
     fn bisection_partner(&self, cpu: usize) -> usize {
         let coord = |i: usize| {
-            self.net
-                .topology()
+            self.topo
                 .coord(self.cpus[i])
                 .expect("bisection pattern needs planar coordinates")
         };
@@ -446,18 +454,16 @@ impl<T: Topology + Clone + Send + Sync + 'static> FaultCampaign<T> {
             cfg.watchdog_window > cfg.retry.timeout,
             "watchdog window must exceed the retry timeout"
         );
-        let shards = if cfg.shards == 0 {
-            alphasim_kernel::par::shards()
-        } else {
-            cfg.shards
+        // The config's count wins, then the machine's default, then the
+        // process-wide knob; `0` means "not set" at every level.
+        let pick = |given: usize, default: usize, ambient: fn() -> usize| match (given, default) {
+            (0, 0) => ambient(),
+            (0, d) => d,
+            (g, _) => g,
         };
-        let threads = if cfg.threads != 0 {
-            cfg.threads
-        } else if self.default_threads != 0 {
-            self.default_threads
-        } else {
-            alphasim_kernel::par::threads()
-        };
+        let (default_shards, default_threads) = self.default_engine;
+        let shards = pick(cfg.shards, default_shards, alphasim_kernel::par::shards);
+        let threads = pick(cfg.threads, default_threads, alphasim_kernel::par::threads);
         let ncpus = self.cpus.len();
         let partners: Vec<usize> = match cfg.pattern {
             CampaignPattern::Bisection => {
@@ -465,12 +471,7 @@ impl<T: Topology + Clone + Send + Sync + 'static> FaultCampaign<T> {
             }
             CampaignPattern::UniformRemote => Vec::new(),
         };
-        let master = FabricTables::new(
-            self.net.topology().clone(),
-            *self.net.timing(),
-            self.net.policy(),
-            shards,
-        );
+        let master = FabricTables::new(self.topo.clone(), self.timing, self.policy, shards);
         let regions = master.region_count();
         let node_count = self.zboxes.len();
         let ccfg = Arc::new(CampaignCfg {
@@ -537,8 +538,7 @@ impl<T: Topology + Clone + Send + Sync + 'static> FaultCampaign<T> {
             exec.enable_profile(o.wall);
         }
         // Prime every CPU's issue window at time zero. Faults scheduled at
-        // zero strike first (the guide runs before any event fires), just
-        // as the sequential engine ordered them.
+        // zero strike first: the guide runs before any event fires.
         for cpu in 0..ncpus {
             exec.seed(
                 master.region_of(cpus[cpu]),
@@ -871,12 +871,15 @@ pub fn gs1280_fault_campaign(machine: &crate::Gs1280) -> FaultCampaign<crate::gs
         ..calib.zbox
     };
     let mut campaign = FaultCampaign::new(
-        machine.network(),
+        machine.fabric().clone(),
+        *machine.timing(),
+        machine.policy(),
         zbox,
         calib.local_fixed,
         calib.remote_fixed,
     );
-    campaign.set_default_threads(machine.worker_threads());
+    let (shards, threads) = machine.campaign_engine();
+    campaign.set_default_engine(shards, threads);
     campaign
 }
 
@@ -887,6 +890,25 @@ mod tests {
 
     fn campaign16() -> FaultCampaign<crate::gs1280::FabricTopo> {
         gs1280_fault_campaign(&Gs1280::builder().cpus(16).build())
+    }
+
+    #[test]
+    fn machine_shard_default_applies_unless_the_config_pins_its_own() {
+        // The builder's region-shard count reaches every campaign the
+        // machine hands out, but a count pinned in the config wins.
+        let machine = Gs1280::builder().cpus(16).shards(4).build();
+        let regions = |shards: usize| {
+            let cfg = FaultCampaignConfig {
+                requests_per_cpu: 5,
+                shards,
+                ..FaultCampaignConfig::default()
+            };
+            let (_, _, obs) = gs1280_fault_campaign(&machine)
+                .run_observed(&cfg, ObserveOptions::windowed(20_000_000));
+            obs.profile.shard_count()
+        };
+        assert_eq!(regions(0), 4);
+        assert_eq!(regions(2), 2);
     }
 
     #[test]

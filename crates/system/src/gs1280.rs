@@ -70,8 +70,7 @@ pub struct Gs1280Builder {
     shuffle: Option<RoutePolicy>,
     striping: bool,
     mem_per_cpu: u64,
-    shards: usize,
-    threads: usize,
+    engine: (usize, usize),
 }
 
 impl Gs1280Builder {
@@ -111,12 +110,12 @@ impl Gs1280Builder {
         self
     }
 
-    /// Event-queue region shards for every [`network`](Gs1280::network)
-    /// this machine hands out (`0`, the default, resolves via
-    /// [`alphasim_kernel::par::shards`]). Sharding repartitions the queue
-    /// by torus row band without changing any result byte.
+    /// Epoch-engine region shards for every fault campaign this machine
+    /// hands out (`0`, the default, resolves via
+    /// [`alphasim_kernel::par::shards`]). Regions partition the torus by
+    /// row band without changing any result byte.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+        self.engine.0 = shards;
         self
     }
 
@@ -125,7 +124,7 @@ impl Gs1280Builder {
     /// [`alphasim_kernel::par::threads`]). Threads drive the region shards
     /// on real cores without changing any result byte.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.engine.1 = threads;
         self
     }
 
@@ -160,8 +159,7 @@ impl Gs1280Builder {
             policy,
             map: AddressMap::new(self.cpus, self.mem_per_cpu, interleave),
             one_way,
-            shards: self.shards,
-            threads: self.threads,
+            engine: self.engine,
         }
     }
 }
@@ -175,8 +173,9 @@ pub struct Gs1280 {
     policy: RoutePolicy,
     map: AddressMap,
     one_way: Vec<Vec<SimDuration>>,
-    shards: usize,
-    threads: usize,
+    /// Default `(region shards, worker threads)` of this machine's fault
+    /// campaigns; `0` resolves via [`alphasim_kernel::par`] at run time.
+    engine: (usize, usize),
 }
 
 impl Gs1280 {
@@ -189,15 +188,14 @@ impl Gs1280 {
             shuffle: None,
             striping: false,
             mem_per_cpu: 1 << 30,
-            shards: 0,
-            threads: 0,
+            engine: (0, 0),
         }
     }
 
-    /// Configured worker-thread count (`0` = resolve via
-    /// [`alphasim_kernel::par::threads`] at run time).
-    pub fn worker_threads(&self) -> usize {
-        self.threads
+    /// Configured `(region shards, worker threads)` of this machine's fault
+    /// campaigns (`0` = resolve via [`alphasim_kernel::par`] at run time).
+    pub(crate) fn campaign_engine(&self) -> (usize, usize) {
+        self.engine
     }
 
     /// Number of CPUs.
@@ -228,16 +226,12 @@ impl Gs1280 {
     /// A fresh network simulator over this machine's fabric and routing
     /// policy, for the loaded experiments (Figs. 15, 18, 23–26).
     pub fn network(&self) -> NetworkSim<FabricTopo> {
-        let mut net = NetworkSim::with_policy(self.fabric.clone(), self.calib.timing, self.policy);
-        let shards = if self.shards == 0 {
-            alphasim_kernel::par::shards()
-        } else {
-            self.shards
-        };
-        if shards > 1 {
-            net.set_shards(shards);
-        }
-        net
+        NetworkSim::with_policy(self.fabric.clone(), self.calib.timing, self.policy)
+    }
+
+    /// The routing policy of this machine's fabric.
+    pub(crate) fn policy(&self) -> RoutePolicy {
+        self.policy
     }
 
     /// The fabric timing in force.

@@ -87,34 +87,6 @@ pub mod global {
     /// process since the last [`PeakGauge::take`].
     pub static EVENT_QUEUE_PEAK: PeakGauge = PeakGauge::new();
 
-    /// Shard indices tracked by [`EVENT_QUEUE_SHARD_PEAKS`]. Sharded queues
-    /// with more regions than this fold the excess into the last gauge.
-    pub const MAX_TRACKED_SHARDS: usize = 16;
-
-    /// Per-region-shard high-water marks of sharded event queues, indexed
-    /// by shard id. Like [`EVENT_QUEUE_PEAK`] these are reporting-only and
-    /// merged commutatively (`max`), so the snapshot is byte-identical at
-    /// any worker count; `BENCH_sweep.json` records them next to the global
-    /// gauge.
-    pub static EVENT_QUEUE_SHARD_PEAKS: [PeakGauge; MAX_TRACKED_SHARDS] = [
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-    ];
-
     #[cfg(test)]
     mod tests {
         use super::PeakGauge;

@@ -11,13 +11,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hint::black_box;
 
-use alphasim::cache::{Addr, CacheGeometry, SetAssocCache};
+use alphasim::cache::{Addr, CacheGeometry, CacheHierarchy, HierarchyConfig, SetAssocCache};
 use alphasim::coherence::{AccessKind, Directory};
-use alphasim::kernel::{DetRng, EventQueue, SimTime};
-use alphasim::mem::{Zbox, ZboxConfig};
+use alphasim::kernel::{DetRng, EventQueue, SimDuration, SimTime};
+use alphasim::mem::{OpenPageTable, Zbox, ZboxConfig};
 use alphasim::net::{LinkTiming, MessageClass, NetworkSim};
 use alphasim::topology::route::{RoutePolicy, Routes};
 use alphasim::topology::{NodeId, Torus2D};
+use alphasim::workloads::PointerChase;
 
 fn bench_kernel(c: &mut Criterion) {
     let mut g = c.benchmark_group("substrate");
@@ -116,6 +117,33 @@ fn bench_kernel(c: &mut Criterion) {
             black_box(cache.misses())
         })
     });
+
+    // The figs. 4-5 cache walk: a 1 MB dependent-load chase on a fresh EV7
+    // hierarchy and open-page table, below and at the 64 B line size.
+    for stride in [4u64, 64] {
+        let chase = PointerChase::new(1 << 20, stride);
+        let loads = chase.elements().min(60_000);
+        g.throughput(Throughput::Elements(chase.elements() + loads));
+        g.bench_function(format!("chase_1mb_stride{stride}"), |b| {
+            b.iter(|| {
+                let mut hierarchy = CacheHierarchy::new(HierarchyConfig::ev7());
+                let mut pages = OpenPageTable::new(2, 2048);
+                let (open, closed) = (SimDuration::from_ns(83.0), SimDuration::from_ns(130.0));
+                let latency = chase.run(
+                    &mut hierarchy,
+                    |a| {
+                        if pages.touch(pages.page_of(a.get())) {
+                            open
+                        } else {
+                            closed
+                        }
+                    },
+                    loads,
+                );
+                black_box((latency, pages.hits()))
+            })
+        });
+    }
 
     g.throughput(Throughput::Elements(10_000));
     g.bench_function("zbox_10k_accesses", |b| {

@@ -30,6 +30,11 @@
 //! the monitors catch it, shrinks the offending schedule, and with
 //! `--write DIR` commits the reproducer to the corpus. Exit 1 if the
 //! mutation is never caught — the monitors would have lost their teeth.
+//!
+//! A missing or unknown command, an unknown mutation id, or a count flag
+//! (`--trials`, `--seed`, `--threads`) given something other than a
+//! non-negative whole number is a usage error: the usage text goes to
+//! stderr and the exit status is 2.
 
 use std::process::ExitCode;
 
@@ -37,6 +42,17 @@ use alphasim::coherence::RetryPolicy;
 use alphasim::kernel::SimDuration;
 use alphasim::system::chaos::{replay, replay_healthy, run_chaos, ChaosOptions, Reproducer};
 use alphasim::system::RecoveryMutation;
+use alphasim_bench::{parse_count, UsageError};
+
+const USAGE: &str = "usage: chaos run [--trials N] [--seed S] [--threads N]
+       chaos replay <dir-or-file> ...
+       chaos mutate <mutation-id> [--write DIR] [--threads N]";
+
+/// Report a usage error with the usage text; exit status 2.
+fn usage_error(e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("chaos: {e}\n{USAGE}");
+    ExitCode::from(2)
+}
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -45,41 +61,40 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-fn parse_or_die(value: Option<String>, flag: &str, default: u64) -> u64 {
-    match value {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{flag} wants a number, got {v:?}")),
-    }
+/// The value of count flag `flag`, if given.
+fn count_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, UsageError> {
+    args.iter()
+        .any(|a| a == flag)
+        .then(|| parse_count(flag, flag_value(args, flag).as_deref()))
+        .transpose()
 }
 
 /// Resolve `--threads`: absent → 0 (defer to `ALPHASIM_THREADS`, then 1);
 /// `--threads 0` → all available cores; otherwise the given count.
-fn threads_arg(args: &[String]) -> usize {
-    match flag_value(args, "--threads") {
+fn threads_arg(args: &[String]) -> Result<usize, UsageError> {
+    Ok(match count_flag(args, "--threads")? {
         None => 0,
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .unwrap_or_else(|_| panic!("--threads wants a number, got {v:?}"));
-            if n == 0 {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            } else {
-                n
-            }
-        }
-    }
+        Some(0) => std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1),
+        Some(n) => n,
+    })
+}
+
+/// The options of `chaos run`.
+fn run_options(args: &[String]) -> Result<ChaosOptions, UsageError> {
+    Ok(ChaosOptions {
+        trials: count_flag(args, "--trials")?.unwrap_or(50),
+        base_seed: count_flag(args, "--seed")?.unwrap_or(0xC405),
+        threads: threads_arg(args)?,
+        ..ChaosOptions::default()
+    })
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
-    let opts = ChaosOptions {
-        trials: parse_or_die(flag_value(args, "--trials"), "--trials", 50) as usize,
-        base_seed: parse_or_die(flag_value(args, "--seed"), "--seed", 0xC405),
-        threads: threads_arg(args),
-        ..ChaosOptions::default()
+    let opts = match run_options(args) {
+        Ok(opts) => opts,
+        Err(e) => return usage_error(e),
     };
     eprintln!(
         "chaos: {} trials from seed {:#x} on {}P ...",
@@ -173,21 +188,17 @@ fn cmd_replay(paths: &[String]) -> ExitCode {
 }
 
 fn cmd_mutate(args: &[String]) -> ExitCode {
-    let id = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .unwrap_or_else(|| {
-            panic!(
-                "mutate wants a mutation id: {:?}",
-                RecoveryMutation::ALL.map(RecoveryMutation::id)
-            )
-        });
-    let mutation = RecoveryMutation::from_id(id).unwrap_or_else(|| {
-        panic!(
-            "unknown mutation {id:?}; known: {:?}",
-            RecoveryMutation::ALL.map(RecoveryMutation::id)
-        )
-    });
+    let known = RecoveryMutation::ALL.map(RecoveryMutation::id);
+    let Some(id) = args.iter().find(|a| !a.starts_with("--")) else {
+        return usage_error(format!("mutate wants a mutation id: {known:?}"));
+    };
+    let Some(mutation) = RecoveryMutation::from_id(id) else {
+        return usage_error(format!("unknown mutation {id:?}; known: {known:?}"));
+    };
+    let threads = match threads_arg(args) {
+        Ok(n) => n,
+        Err(e) => return usage_error(e),
+    };
     let write_dir = flag_value(args, "--write");
     // The default 50 us timeout never exhausts its retries inside a ~7 us
     // run, so the off-by-one poison threshold is dead code under it. Hunt
@@ -211,7 +222,7 @@ fn cmd_mutate(args: &[String]) -> ExitCode {
             base_seed: 0xC405 + batch * 12,
             retry,
             mutation: Some(mutation),
-            threads: threads_arg(args),
+            threads,
             ..ChaosOptions::default()
         };
         eprintln!("mutate {id}: batch {batch} (seeds {:#x}..)", opts.base_seed);
@@ -247,11 +258,60 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         Some("mutate") => cmd_mutate(&args[1..]),
-        _ => {
-            eprintln!("usage: chaos run [--trials N] [--seed S] [--threads N]");
-            eprintln!("       chaos replay <dir-or-file> ...");
-            eprintln!("       chaos mutate <mutation-id> [--write DIR] [--threads N]");
-            ExitCode::FAILURE
+        Some(other) => usage_error(format!("unknown command {other:?}")),
+        None => usage_error("missing command"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn run_options_accept_counts_and_default_the_rest() {
+        let opts = run_options(&args("--trials 7 --seed 18446744073709551615 --threads 3"))
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(
+            (opts.trials, opts.base_seed, opts.threads),
+            (7, u64::MAX, 3)
+        );
+        let opts = run_options(&[]).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!((opts.trials, opts.base_seed, opts.threads), (50, 0xC405, 0));
+        let all = run_options(&args("--threads 0")).unwrap_or_else(|e| panic!("{e}"));
+        assert!(all.threads >= 1, "--threads 0 means all cores");
+    }
+
+    #[test]
+    fn run_options_reject_non_counts_naming_the_flag() {
+        for (line, flag, value) in [
+            ("--trials many", "--trials", Some("many")),
+            ("--trials -3", "--trials", Some("-3")),
+            ("--seed 0xC405", "--seed", Some("0xC405")),
+            (
+                "--seed 18446744073709551616",
+                "--seed",
+                Some("18446744073709551616"),
+            ),
+            ("--threads 2.5", "--threads", Some("2.5")),
+            ("--trials 4 --threads", "--threads", None),
+        ] {
+            let err = run_options(&args(line)).err();
+            let want = UsageError {
+                flag: flag.into(),
+                value: value.map(str::to_string),
+            };
+            assert_eq!(err, Some(want), "{line}");
         }
+    }
+
+    #[test]
+    fn threads_arg_is_zero_when_absent() {
+        assert_eq!(threads_arg(&args("leak-poison --write dir")), Ok(0));
+        assert_eq!(threads_arg(&args("leak-poison --threads 2")), Ok(2));
+        assert!(threads_arg(&args("leak-poison --threads two")).is_err());
     }
 }

@@ -23,8 +23,8 @@ pub use alphasim::experiments::timeline::{TimelineReport, WINDOW_PS as TIMELINE_
 pub use alphasim::kernel::par::{jobs, set_jobs, set_shards, set_threads, shards, threads};
 pub use alphasim::kernel::take_peak_event_depth;
 
-/// A count flag (`--jobs`, `--shards`, `--threads`) given a value that is
-/// not a count.
+/// A count flag (`--jobs`, `--shards`, `--threads`, `--trials`, `--seed`)
+/// given a value that is not a count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UsageError {
     /// The flag, e.g. `--jobs`.
@@ -48,19 +48,21 @@ impl std::fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
-/// Parse the value of a count flag: a non-negative decimal integer.
-/// `value` is `None` when the flag was the last argument.
+/// Parse the value of a count flag: a non-negative decimal integer that
+/// fits the unsigned integer type `T` (`usize` for counts, `u64` for
+/// seeds). `value` is `None` when the flag was the last argument.
 ///
 /// # Examples
 ///
 /// ```
 /// use alphasim_bench::parse_count;
 ///
-/// assert_eq!(parse_count("--jobs", Some("4")), Ok(4));
-/// assert!(parse_count("--jobs", Some("four")).is_err());
-/// assert!(parse_count("--jobs", None).is_err());
+/// assert_eq!(parse_count::<usize>("--jobs", Some("4")), Ok(4));
+/// assert_eq!(parse_count::<u64>("--seed", Some("50181")), Ok(50181));
+/// assert!(parse_count::<usize>("--jobs", Some("four")).is_err());
+/// assert!(parse_count::<usize>("--jobs", None).is_err());
 /// ```
-pub fn parse_count(flag: &str, value: Option<&str>) -> Result<usize, UsageError> {
+pub fn parse_count<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<T, UsageError> {
     value
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| UsageError {
@@ -408,19 +410,23 @@ mod tests {
 
     #[test]
     fn parse_count_accepts_non_negative_integers() {
-        assert_eq!(parse_count("--jobs", Some("0")), Ok(0));
-        assert_eq!(parse_count("--shards", Some("4")), Ok(4));
-        assert_eq!(parse_count("--threads", Some("0016")), Ok(16));
+        assert_eq!(parse_count::<usize>("--jobs", Some("0")), Ok(0));
+        assert_eq!(parse_count::<usize>("--shards", Some("4")), Ok(4));
+        assert_eq!(parse_count::<usize>("--threads", Some("0016")), Ok(16));
         assert_eq!(
-            parse_count("--jobs", Some(&usize::MAX.to_string())),
+            parse_count::<usize>("--jobs", Some(&usize::MAX.to_string())),
             Ok(usize::MAX)
+        );
+        assert_eq!(
+            parse_count::<u64>("--seed", Some(&u64::MAX.to_string())),
+            Ok(u64::MAX)
         );
     }
 
     #[test]
     fn parse_count_rejects_everything_else_with_a_named_error() {
         for bad in ["", "four", "-1", "2.5", "1e3", " 4", "4 ", "0x10", "+"] {
-            let err = parse_count("--shards", Some(bad)).unwrap_err();
+            let err = parse_count::<usize>("--shards", Some(bad)).unwrap_err();
             assert_eq!(
                 err,
                 UsageError {
@@ -431,8 +437,10 @@ mod tests {
             assert!(err.to_string().starts_with("--shards wants"), "{err}");
         }
         let overflow = format!("{}0", usize::MAX);
-        assert!(parse_count("--jobs", Some(&overflow)).is_err());
-        let missing = parse_count("--threads", None).unwrap_err();
+        assert!(parse_count::<usize>("--jobs", Some(&overflow)).is_err());
+        assert!(parse_count::<u64>("--seed", Some(&format!("{}0", u64::MAX))).is_err());
+        assert!(parse_count::<u64>("--seed", Some("-1")).is_err());
+        let missing = parse_count::<usize>("--threads", None).unwrap_err();
         assert_eq!(missing.value, None);
         assert_eq!(
             missing.to_string(),

@@ -93,6 +93,9 @@ pub struct CacheHierarchy {
     l1: SetAssocCache,
     l2: SetAssocCache,
     memory_loads: u64,
+    /// The L1 line of the most recent L1 access, which that access left
+    /// MRU in its set; `None` after an invalidation or flush.
+    l1_mru_line: Option<u64>,
 }
 
 impl CacheHierarchy {
@@ -103,6 +106,7 @@ impl CacheHierarchy {
             l1: SetAssocCache::new(config.l1),
             l2: SetAssocCache::new(config.l2),
             memory_loads: 0,
+            l1_mru_line: None,
         }
     }
 
@@ -114,6 +118,17 @@ impl CacheHierarchy {
     /// Perform a load; a miss in both levels costs `memory_latency` and
     /// fills both levels.
     pub fn load(&mut self, addr: Addr, memory_latency: SimDuration) -> LoadOutcome {
+        let line = self.l1.line_of(addr);
+        if self.l1_mru_line == Some(line) {
+            // Re-referencing the MRU line of a true-LRU set is a hit that
+            // changes no state.
+            self.l1.rehit_mru();
+            return LoadOutcome {
+                level: HitLevel::L1,
+                latency: self.config.l1_latency,
+            };
+        }
+        self.l1_mru_line = Some(line);
         if self.l1.access(addr).hit {
             return LoadOutcome {
                 level: HitLevel::L1,
@@ -139,6 +154,8 @@ impl CacheHierarchy {
     ///
     /// [`load`]: Self::load
     pub fn store(&mut self, addr: Addr, memory_latency: SimDuration) -> LoadOutcome {
+        // No fast path here: a store must set the line's dirty bit.
+        self.l1_mru_line = Some(self.l1.line_of(addr));
         if self.l1.access_write(addr).hit {
             return LoadOutcome {
                 level: HitLevel::L1,
@@ -176,6 +193,7 @@ impl CacheHierarchy {
 
     /// Invalidate a line everywhere (used by coherence invalidations).
     pub fn invalidate(&mut self, addr: Addr) {
+        self.l1_mru_line = None;
         self.l1.invalidate(addr);
         self.l2.invalidate(addr);
     }
@@ -185,6 +203,7 @@ impl CacheHierarchy {
         self.l1.flush();
         self.l2.flush();
         self.memory_loads = 0;
+        self.l1_mru_line = None;
     }
 
     /// Loads that reached memory since construction/flush.
@@ -278,6 +297,30 @@ mod tests {
     }
 
     #[test]
+    fn invalidating_the_mru_line_makes_the_next_load_miss_l1() {
+        let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
+        let a = Addr::new(0x2000);
+        h.load(a, mem());
+        assert_eq!(h.load(a.offset(8), mem()).level, HitLevel::L1);
+        h.invalidate(a);
+        assert_eq!(h.load(a.offset(16), mem()).level, HitLevel::Memory);
+        // Invalidating some other line leaves the MRU line resident.
+        h.invalidate(Addr::new(0x4000));
+        assert_eq!(h.load(a, mem()).level, HitLevel::L1);
+    }
+
+    #[test]
+    fn flushing_drops_the_mru_line() {
+        let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
+        let a = Addr::new(0x40);
+        h.load(a, mem());
+        h.load(a, mem());
+        h.flush();
+        assert_eq!(h.load(a, mem()).level, HitLevel::Memory);
+        assert_eq!(h.memory_loads(), 1);
+    }
+
+    #[test]
     fn flush_resets() {
         let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
         h.load(Addr::new(0), mem());
@@ -310,6 +353,42 @@ mod store_tests {
             h.load(Addr::new(i * 64), mem);
         }
         assert_eq!(h.writebacks(), 0);
+    }
+
+    #[test]
+    fn store_after_load_of_the_same_line_leaves_it_dirty() {
+        let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
+        let mem = SimDuration::from_ns(83.0);
+        let a = Addr::new(0x100);
+        h.load(a, mem);
+        h.load(a, mem); // the MRU re-hit
+        assert_eq!(h.store(a.offset(8), mem).level, HitLevel::L1);
+        assert!(h.l1.probe_dirty(a));
+        // A later load of the line keeps it dirty.
+        h.load(a, mem);
+        assert!(h.l1.probe_dirty(a));
+    }
+
+    #[test]
+    fn stored_line_counts_one_writeback_when_l2_evicts_it() {
+        // One 64 B L1 line over a 2-way, single-set L2: a store to a line
+        // that has left L1 dirties its L2 copy.
+        let line = 64;
+        let mut h = CacheHierarchy::new(HierarchyConfig {
+            l1: CacheGeometry::new(line, line, 1),
+            l2: CacheGeometry::new(2 * line, line, 2),
+            ..HierarchyConfig::ev7()
+        });
+        let mem = SimDuration::from_ns(83.0);
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| Addr::new(i * line));
+        h.load(a, mem);
+        h.load(b, mem);
+        assert_eq!(h.store(a, mem).level, HitLevel::L2);
+        h.load(a, mem); // the MRU re-hit
+        h.load(c, mem); // L2 evicts clean `b`
+        assert_eq!(h.writebacks(), 0);
+        h.load(d, mem); // L2 evicts dirty `a`
+        assert_eq!(h.writebacks(), 1);
     }
 
     #[test]

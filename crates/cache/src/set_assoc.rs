@@ -1,8 +1,33 @@
 //! A functional set-associative cache with true-LRU replacement.
+//!
+//! # Slot layout
+//!
+//! All `sets × ways` tag slots live in one flat `Vec<u64>`; set `s` owns
+//! the `ways` consecutive slots starting at `s * ways`. Within a set the
+//! slots are kept in recency order, most recently used first, with any
+//! empty slots at the tail. A resident line's slot holds `tag << 1 |
+//! dirty`; an empty slot holds the [`EMPTY`] sentinel.
+//!
+//! * A hit at position `pos` rotates `set[..=pos]` right by one, so the
+//!   line moves to the front and the lines it passed age by one.
+//! * A miss evicts `set[ways - 1]` (the LRU line, or an empty slot) by
+//!   shifting the set right by one and filling `set[0]`.
+//! * An invalidation closes the gap by shifting the tail left and leaves
+//!   an empty slot at the end.
+//!
+//! The line shift, set mask and set shift are derived once in
+//! [`SetAssocCache::new`] (line size and set count are powers of two, see
+//! [`CacheGeometry::new`]), so an access costs shifts and masks but no
+//! division.
 
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::{Addr, CacheGeometry};
+
+/// The content of an empty slot. Resident slots hold `tag << 1 | dirty`,
+/// which stays below `u64::MAX - 1` because `new` guarantees at least two
+/// bits of offset and set index below the tag.
+const EMPTY: u64 = u64::MAX;
 
 /// The outcome of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,8 +63,15 @@ pub struct AccessResult {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
-    /// Per set: `(tag, dirty)` in LRU order, most recently used last.
-    sets: Vec<Vec<(u64, bool)>>,
+    ways: usize,
+    /// `log2(line_bytes)`: address to line number.
+    line_shift: u32,
+    /// `sets - 1`: line number to set index.
+    set_mask: u64,
+    /// `log2(sets)`: line number to tag.
+    set_shift: u32,
+    /// `sets × ways` slots, each set MRU first (see the module docs).
+    slots: Vec<u64>,
     hits: u64,
     misses: u64,
     writebacks: u64,
@@ -47,10 +79,29 @@ pub struct SetAssocCache {
 
 impl SetAssocCache {
     /// An empty cache of the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line_bytes × sets < 4`: a slot keeps the tag and dirty
+    /// bit in one word next to the empty sentinel, which needs two address
+    /// bits below the tag.
     pub fn new(geometry: CacheGeometry) -> Self {
+        let sets = geometry.sets();
+        let line_shift = geometry.line_bytes().trailing_zeros();
+        let set_shift = sets.trailing_zeros();
+        assert!(
+            line_shift + set_shift >= 2,
+            "need line_bytes x sets >= 4, got {}",
+            geometry.line_bytes() * sets
+        );
+        let ways = geometry.ways() as usize;
         SetAssocCache {
             geometry,
-            sets: vec![Vec::new(); geometry.sets() as usize],
+            ways,
+            line_shift,
+            set_mask: sets - 1,
+            set_shift,
+            slots: vec![EMPTY; sets as usize * ways],
             hits: 0,
             misses: 0,
             writebacks: 0,
@@ -73,14 +124,32 @@ impl SetAssocCache {
         self.reference(addr, true)
     }
 
+    /// The line number `addr` falls in.
+    pub(crate) fn line_of(&self, addr: Addr) -> u64 {
+        addr.get() >> self.line_shift
+    }
+
+    /// Count a load hit on the line that is already MRU in its set. Under
+    /// true LRU that changes nothing but the hit counter.
+    pub(crate) fn rehit_mru(&mut self) {
+        self.hits += 1;
+    }
+
+    /// The slots of `line`'s set and the line's resident-slot key
+    /// (`tag << 1`, dirty bit clear).
+    fn set_and_key(&self, line: u64) -> (std::ops::Range<usize>, u64) {
+        let start = (line & self.set_mask) as usize * self.ways;
+        (start..start + self.ways, (line >> self.set_shift) << 1)
+    }
+
     fn reference(&mut self, addr: Addr, write: bool) -> AccessResult {
-        let set_idx = self.geometry.set_of(addr) as usize;
-        let tag = self.geometry.tag_of(addr);
-        let ways = self.geometry.ways() as usize;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&(t, _)| t == tag) {
-            let (t, dirty) = set.remove(pos);
-            set.push((t, dirty || write));
+        let line = self.line_of(addr);
+        let (range, key) = self.set_and_key(line);
+        let set = &mut self.slots[range];
+        if let Some(pos) = set.iter().position(|&s| s & !1 == key) {
+            let slot = set[pos];
+            shift_right(&mut set[..=pos]);
+            set[0] = slot | u64::from(write);
             self.hits += 1;
             return AccessResult {
                 hit: true,
@@ -89,47 +158,46 @@ impl SetAssocCache {
             };
         }
         self.misses += 1;
-        let (evicted, evicted_dirty) = if set.len() == ways {
-            let (victim_tag, dirty) = set.remove(0);
-            if dirty {
-                self.writebacks += 1;
-            }
-            (
-                Some(victim_tag * self.geometry.sets() + set_idx as u64),
-                dirty,
-            )
-        } else {
-            (None, false)
-        };
-        set.push((tag, write));
+        let victim = set[set.len() - 1];
+        shift_right(set);
+        set[0] = key | u64::from(write);
+        if victim == EMPTY {
+            return AccessResult {
+                hit: false,
+                evicted_line: None,
+                evicted_dirty: false,
+            };
+        }
+        let evicted_dirty = victim & 1 == 1;
+        if evicted_dirty {
+            self.writebacks += 1;
+        }
         AccessResult {
             hit: false,
-            evicted_line: evicted,
+            evicted_line: Some(((victim >> 1) << self.set_shift) | (line & self.set_mask)),
             evicted_dirty,
         }
     }
 
     /// Whether `addr`'s line is currently resident (no LRU update, no fill).
     pub fn probe(&self, addr: Addr) -> bool {
-        let set = &self.sets[self.geometry.set_of(addr) as usize];
-        let tag = self.geometry.tag_of(addr);
-        set.iter().any(|&(t, _)| t == tag)
+        let (range, key) = self.set_and_key(self.line_of(addr));
+        self.slots[range].iter().any(|&s| s & !1 == key)
     }
 
     /// Whether `addr`'s line is resident *and dirty*.
     pub fn probe_dirty(&self, addr: Addr) -> bool {
-        let set = &self.sets[self.geometry.set_of(addr) as usize];
-        let tag = self.geometry.tag_of(addr);
-        set.iter().any(|&(t, d)| t == tag && d)
+        let (range, key) = self.set_and_key(self.line_of(addr));
+        self.slots[range].contains(&(key | 1))
     }
 
     /// Invalidate `addr`'s line if resident; reports whether it was.
     pub fn invalidate(&mut self, addr: Addr) -> bool {
-        let set_idx = self.geometry.set_of(addr) as usize;
-        let tag = self.geometry.tag_of(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&(t, _)| t == tag) {
-            set.remove(pos);
+        let (range, key) = self.set_and_key(self.line_of(addr));
+        let set = &mut self.slots[range];
+        if let Some(pos) = set.iter().position(|&s| s & !1 == key) {
+            set.copy_within(pos + 1.., pos);
+            set[set.len() - 1] = EMPTY;
             true
         } else {
             false
@@ -138,9 +206,7 @@ impl SetAssocCache {
 
     /// Drop every line and reset statistics.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.slots.fill(EMPTY);
         self.hits = 0;
         self.misses = 0;
         self.writebacks = 0;
@@ -148,7 +214,7 @@ impl SetAssocCache {
 
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.slots.iter().filter(|&&s| s != EMPTY).count()
     }
 
     /// Hits since construction or [`flush`](Self::flush).
@@ -174,6 +240,15 @@ impl SetAssocCache {
         } else {
             self.misses as f64 / total as f64
         }
+    }
+}
+
+/// Move every slot one place towards the back, dropping the last; the
+/// caller refills `slots[0]`. A plain loop, because `rotate_right` and
+/// `copy_within` both cost several times more on slices this short.
+fn shift_right(slots: &mut [u64]) {
+    for i in (1..slots.len()).rev() {
+        slots[i] = slots[i - 1];
     }
 }
 
@@ -291,6 +366,13 @@ mod tests {
         assert_eq!(c.resident_lines(), 0);
         assert_eq!(c.hits() + c.misses(), 0);
         assert_eq!(c.miss_ratio(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need line_bytes x sets >= 4")]
+    fn rejects_tags_without_room_for_the_dirty_bit() {
+        // 1-byte lines, 2 sets: a tag can use 63 bits.
+        let _ = SetAssocCache::new(CacheGeometry::new(2, 1, 1));
     }
 
     #[test]

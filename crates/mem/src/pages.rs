@@ -21,7 +21,10 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OpenPageTable {
-    page_kib: u64,
+    /// `log2(page bytes)`: address to page id.
+    page_shift: u32,
+    /// `banks - 1`: page id to bank.
+    bank_mask: u64,
     /// Open row (page id) per bank; `bank = page % banks`.
     banks: Vec<Option<u64>>,
     hits: u64,
@@ -33,11 +36,14 @@ impl OpenPageTable {
     ///
     /// # Panics
     ///
-    /// Panics if `banks` or `page_kib` is zero.
+    /// Panics unless `page_kib` and `banks` are both powers of two (so
+    /// neither is zero).
     pub fn new(page_kib: u64, banks: usize) -> Self {
-        assert!(banks > 0 && page_kib > 0, "empty page table");
+        assert!(page_kib.is_power_of_two(), "page size must be 2^k KiB");
+        assert!(banks.is_power_of_two(), "bank count must be 2^k");
         OpenPageTable {
-            page_kib,
+            page_shift: page_kib.trailing_zeros() + 10,
+            bank_mask: banks as u64 - 1,
             banks: vec![None; banks],
             hits: 0,
             misses: 0,
@@ -46,14 +52,14 @@ impl OpenPageTable {
 
     /// The RDRAM page an address belongs to.
     pub fn page_of(&self, addr: u64) -> u64 {
-        addr / (self.page_kib * 1024)
+        addr >> self.page_shift
     }
 
     /// Touch a page: `true` if its bank already has this row open (page
     /// hit); otherwise the row is activated, displacing the bank's previous
     /// row.
     pub fn touch(&mut self, page: u64) -> bool {
-        let bank = (page % self.banks.len() as u64) as usize;
+        let bank = (page & self.bank_mask) as usize;
         if self.banks[bank] == Some(page) {
             self.hits += 1;
             return true;
@@ -149,6 +155,37 @@ mod tests {
         assert!(t.touch(0));
         assert!(t.touch(1));
         assert!(t.touch(2));
+    }
+
+    #[test]
+    fn page_of_matches_division() {
+        for (kib, addrs) in [
+            (2u64, [0u64, 2047, 2048, 1 << 40]),
+            (8, [0, 8191, 8192, 12345678]),
+        ] {
+            let t = OpenPageTable::new(kib, 64);
+            for a in addrs {
+                assert_eq!(t.page_of(a), a / (kib * 1024));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "page size must be 2^k KiB")]
+    fn rejects_non_power_of_two_pages() {
+        let _ = OpenPageTable::new(3, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank count must be 2^k")]
+    fn rejects_non_power_of_two_banks() {
+        let _ = OpenPageTable::new(2, 1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank count must be 2^k")]
+    fn rejects_zero_banks() {
+        let _ = OpenPageTable::new(2, 0);
     }
 
     #[test]

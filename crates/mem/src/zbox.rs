@@ -23,9 +23,9 @@ pub struct ZboxConfig {
     pub open_page_latency: SimDuration,
     /// DRAM access portion of a closed-page read (row activation first).
     pub closed_page_latency: SimDuration,
-    /// RDRAM page size in KiB.
+    /// RDRAM page size in KiB (a power of two).
     pub page_kib: u64,
-    /// Open-page table capacity.
+    /// Open-page table capacity (a power of two).
     pub open_pages: usize,
 }
 
@@ -140,6 +140,11 @@ pub struct Zbox {
 
 impl Zbox {
     /// An idle controller.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `page_kib` and `open_pages` are powers of two (see
+    /// [`OpenPageTable::new`]).
     pub fn new(config: ZboxConfig) -> Self {
         Zbox {
             config,

@@ -59,15 +59,30 @@ impl PointerChase {
         loads: u64,
     ) -> SimDuration {
         assert!(loads > 0, "need at least one measured load");
-        // Warm-up pass: populate caches exactly as a real run would.
-        for i in 0..self.elements() {
-            let a = self.address(i);
+        let elements = self.elements();
+        // Step through `address(0), address(1), ...` without its per-call
+        // division: add the stride, wrap after the last element.
+        let last = self.address(elements - 1).get();
+        let mut next = self.base;
+        let mut step = || {
+            let a = next;
+            next = if a == last {
+                self.base
+            } else {
+                a + self.stride
+            };
+            Addr::new(a)
+        };
+        // Warm-up pass: populate caches exactly as a real run would. It
+        // ends on the last element, so the measured loads start at element 0.
+        for _ in 0..elements {
+            let a = step();
             let ml = memory_latency(a);
             hierarchy.load(a, ml);
         }
         let mut total = SimDuration::ZERO;
-        for i in 0..loads {
-            let a = self.address(i);
+        for _ in 0..loads {
+            let a = step();
             let ml = memory_latency(a);
             total += hierarchy.load(a, ml).latency;
         }
@@ -91,6 +106,51 @@ mod tests {
         assert_eq!(pc.address(0), Addr::new(0));
         assert_eq!(pc.address(16), Addr::new(0));
         assert_eq!(pc.address(17), Addr::new(64));
+    }
+
+    /// The addresses `run` hands its callback, in order.
+    fn run_stream(pc: &PointerChase, loads: u64) -> Vec<Addr> {
+        let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
+        let mut seen = Vec::new();
+        pc.run(
+            &mut h,
+            |a| {
+                seen.push(a);
+                mem(a)
+            },
+            loads,
+        );
+        seen
+    }
+
+    /// The warm-up pass over every element, then `loads` measured loads.
+    fn address_stream(pc: &PointerChase, loads: u64) -> Vec<Addr> {
+        (0..pc.elements())
+            .chain(0..loads)
+            .map(|i| pc.address(i))
+            .collect()
+    }
+
+    #[test]
+    fn run_walks_the_address_stream_past_the_chain_end() {
+        let pc = PointerChase::new(1024, 48); // 21 elements, 16 B unused
+        for loads in [1, 20, 21, 22, 100] {
+            assert_eq!(run_stream(&pc, loads), address_stream(&pc, loads));
+        }
+    }
+
+    #[test]
+    fn run_walks_the_address_stream_from_a_nonzero_base() {
+        for (size, stride) in [(4096, 64), (1000, 8), (64, 64)] {
+            let pc = PointerChase {
+                base: 0x1234_5678,
+                ..PointerChase::new(size, stride)
+            };
+            let loads = 3 * pc.elements() + 5;
+            let stream = run_stream(&pc, loads);
+            assert_eq!(stream[0], Addr::new(0x1234_5678));
+            assert_eq!(stream, address_stream(&pc, loads));
+        }
     }
 
     #[test]

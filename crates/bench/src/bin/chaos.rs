@@ -23,7 +23,9 @@
 //! violate again (the monitors still catch the bug it documents), and a
 //! mutated reproducer's schedule must additionally come back clean on the
 //! intact machine (the bug lives in the broken recovery path, not the
-//! schedule). Exit 1 on any mismatch.
+//! schedule). A file that cannot be read, parsed or replayed is reported
+//! as `<file>: FAILED — <reason>` and the remaining files still replay.
+//! Exit 1 on any failure.
 //!
 //! `mutate` deliberately breaks one recovery path (`ignore-timeouts`,
 //! `leak-poison`, `skip-window-refill`, `off-by-one-retry`), fuzzes until
@@ -31,9 +33,10 @@
 //! `--write DIR` commits the reproducer to the corpus. Exit 1 if the
 //! mutation is never caught — the monitors would have lost their teeth.
 //!
-//! A missing or unknown command, an unknown mutation id, or a count flag
-//! (`--trials`, `--seed`, `--threads`) given something other than a
-//! non-negative whole number is a usage error: the usage text goes to
+//! A missing or unknown command, an unknown mutation id, a `replay` path
+//! that cannot be read, or a count flag (`--trials`, `--seed`,
+//! `--threads`) given something other than a non-negative whole number is
+//! a usage error: the usage text goes to
 //! stderr and the exit status is 2.
 
 use std::process::ExitCode;
@@ -126,58 +129,70 @@ fn cmd_run(args: &[String]) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn corpus_files(paths: &[String]) -> Vec<String> {
+/// The reproducer files under `paths`: each directory's `.json` entries,
+/// sorted so output order is stable, then each file as given. A path that
+/// cannot be read is an error naming it.
+fn corpus_files(paths: &[String]) -> Result<Vec<String>, String> {
     let mut files = Vec::new();
     for path in paths {
-        let meta = std::fs::metadata(path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        if meta.is_dir() {
-            let mut entries: Vec<String> = std::fs::read_dir(path)
-                .unwrap_or_else(|e| panic!("{path}: {e}"))
-                .map(|e| e.expect("read dir entry").path().display().to_string())
-                .filter(|p| p.ends_with(".json"))
-                .collect();
+        let named = |e: std::io::Error| format!("{path}: {e}");
+        if std::fs::metadata(path).map_err(named)?.is_dir() {
+            let mut entries = Vec::new();
+            for entry in std::fs::read_dir(path).map_err(named)? {
+                let file = entry.map_err(named)?.path().display().to_string();
+                if file.ends_with(".json") {
+                    entries.push(file);
+                }
+            }
             entries.sort();
             files.extend(entries);
         } else {
             files.push(path.clone());
         }
     }
-    files
+    Ok(files)
+}
+
+/// Replay one reproducer file: how it reproduced, or why it failed.
+fn replay_file(file: &str) -> Result<String, String> {
+    let text = std::fs::read_to_string(file).map_err(|e| e.to_string())?;
+    let rep = Reproducer::from_json(&text)?;
+    let (_, mutated) = replay(&rep)?;
+    if mutated.is_clean() {
+        return Err("reproducer no longer violates".into());
+    }
+    if rep.mutation.is_some() && !replay_healthy(&rep)?.1.is_clean() {
+        return Err("schedule violates even without the mutation".into());
+    }
+    let monitors: std::collections::BTreeSet<&str> = mutated
+        .violations
+        .iter()
+        .map(|v| v.monitor.as_str())
+        .collect();
+    Ok(format!(
+        "reproduces ({} fault(s), monitors {monitors:?})",
+        rep.plan.len()
+    ))
 }
 
 fn cmd_replay(paths: &[String]) -> ExitCode {
-    let files = corpus_files(paths);
+    let files = match corpus_files(paths) {
+        Ok(files) => files,
+        Err(e) => return usage_error(e),
+    };
     if files.is_empty() {
         eprintln!("replay: no reproducer files found in {paths:?}");
         return ExitCode::FAILURE;
     }
     let mut failures = 0usize;
     for file in &files {
-        let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{file}: {e}"));
-        let rep = Reproducer::from_json(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
-        let (_, mutated) = replay(&rep).unwrap_or_else(|e| panic!("{file}: {e}"));
-        if mutated.is_clean() {
-            println!("{file}: FAILED — reproducer no longer violates");
-            failures += 1;
-            continue;
-        }
-        let monitors: std::collections::BTreeSet<&str> = mutated
-            .violations
-            .iter()
-            .map(|v| v.monitor.as_str())
-            .collect();
-        if rep.mutation.is_some() {
-            let (_, healthy) = replay_healthy(&rep).unwrap_or_else(|e| panic!("{file}: {e}"));
-            if !healthy.is_clean() {
-                println!("{file}: FAILED — schedule violates even without the mutation");
+        match replay_file(file) {
+            Ok(outcome) => println!("{file}: {outcome}"),
+            Err(why) => {
+                println!("{file}: FAILED — {why}");
                 failures += 1;
-                continue;
             }
         }
-        println!(
-            "{file}: reproduces ({} fault(s), monitors {monitors:?})",
-            rep.plan.len()
-        );
     }
     if failures > 0 {
         println!("{failures}/{} reproducer(s) failed", files.len());
@@ -306,6 +321,20 @@ mod tests {
             };
             assert_eq!(err, Some(want), "{line}");
         }
+    }
+
+    #[test]
+    fn corpus_files_name_an_unreadable_path() {
+        let err = corpus_files(&args("no/such/corpus")).expect_err("missing path");
+        assert!(err.starts_with("no/such/corpus: "), "{err}");
+    }
+
+    #[test]
+    fn replay_file_reports_unparsable_reproducers() {
+        let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+        let err = replay_file(manifest).expect_err("TOML is not a reproducer");
+        assert!(err.starts_with("bad JSON"), "{err}");
+        assert!(replay_file("no/such/reproducer.json").is_err());
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //!   ordering among simultaneous events;
 //! * [`DetRng`] — a seedable random-number source so every experiment is
 //!   reproducible bit-for-bit;
-//! * [`stats`] — counters, running statistics, histograms, utilization meters
-//!   and time-series samplers used by the performance-counter ("Xmesh") layer;
+//! * [`stats`] — latency summaries and utilization meters used by the
+//!   performance-counter ("Xmesh") layer;
 //! * [`par`] — an ordered [`par::parallel_map`] used to fan independent
 //!   simulations out across OS threads without changing their results;
 //! * [`shard`] — the conservative-lookahead epoch scheduler for
 //!   parallelism *inside* one run, byte-identical at any shard and thread
 //!   count;
-//! * [`FaultPlan`] — a seeded, time-sorted schedule of link/node/channel
+//! * [`FaultPlan`] — a time-sorted schedule of link/node/channel
 //!   failures (and repairs, degradations, transients) for live
 //!   fault-injection runs;
 //! * [`chaos`] — seeded fault-schedule fuzzing: random legal plan

@@ -3,7 +3,6 @@
 // Test/harness code may unwrap freely; the workspace denies it in libraries.
 #![allow(clippy::unwrap_used)]
 
-use alphasim_kernel::stats::RunningStats;
 use alphasim_kernel::{DetRng, EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -47,23 +46,6 @@ proptest! {
                 prop_assert!(w[0].1 < w[1].1);
             }
         }
-    }
-
-    /// Merging split stat streams equals accumulating the whole stream.
-    #[test]
-    fn running_stats_merge_associative(xs in prop::collection::vec(-1e6f64..1e6, 1..100),
-                                       split in 0usize..100) {
-        let split = split % xs.len().max(1);
-        let mut whole = RunningStats::new();
-        for &x in &xs { whole.record(x); }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &xs[..split] { a.record(x); }
-        for &x in &xs[split..] { b.record(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-3 * (1.0 + whole.variance()));
     }
 
     /// Durations compose linearly with transfer sizes.

@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use alphasim_coherence::RetryPolicy;
 use alphasim_kernel::chaos::{shrink_candidates, validate_plan, ChaosConfig, SiteCatalog};
 use alphasim_kernel::{FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime};
-use alphasim_topology::Topology;
+use alphasim_topology::{Topology, Torus2D};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
@@ -458,6 +458,12 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
 /// Re-run a [`Reproducer`] exactly as recorded. Returns the monitor report
 /// of the replay; a regression corpus expects every mutated reproducer to
 /// violate again and every healthy replay (mutation stripped) to be clean.
+///
+/// # Errors
+///
+/// A reproducer that names an unknown mutation, a CPU count that is not a
+/// GS1280 size, zero outstanding reads, or a plan that is illegal on its
+/// machine.
 pub fn replay(rep: &Reproducer) -> Result<(CampaignResult, MonitorReport), String> {
     let mutation = match &rep.mutation {
         None => None,
@@ -466,6 +472,18 @@ pub fn replay(rep: &Reproducer) -> Result<(CampaignResult, MonitorReport), Strin
                 .ok_or_else(|| format!("unknown recovery mutation {id:?}"))?,
         ),
     };
+    if Torus2D::try_for_cpus(rep.cpus).is_none() {
+        return Err(format!(
+            "reproducer {} names an unsupported machine size: {} CPUs",
+            rep.name, rep.cpus
+        ));
+    }
+    if rep.outstanding == 0 {
+        return Err(format!(
+            "reproducer {} allows no outstanding reads",
+            rep.name
+        ));
+    }
     let catalog = catalog_for(rep.cpus);
     validate_plan(&catalog, &rep.plan)
         .map_err(|why| format!("reproducer {} carries an illegal plan: {why}", rep.name))?;
@@ -607,6 +625,30 @@ mod tests {
             ..rep
         };
         assert!(replay(&rep).unwrap_err().contains("illegal plan"));
+    }
+
+    #[test]
+    fn replay_rejects_unsupported_sizes_and_zero_outstanding() {
+        let rep = Reproducer {
+            name: "bad".into(),
+            cpus: 12,
+            outstanding: 6,
+            requests_per_cpu: 10,
+            shards: 1,
+            retry: ChaosOptions::default().retry,
+            mutation: None,
+            violations: vec![],
+            plan: FaultPlan::new(),
+        };
+        assert!(replay(&rep)
+            .unwrap_err()
+            .contains("unsupported machine size: 12 CPUs"));
+        let rep = Reproducer {
+            cpus: 16,
+            outstanding: 0,
+            ..rep
+        };
+        assert!(replay(&rep).unwrap_err().contains("no outstanding reads"));
     }
 
     #[test]

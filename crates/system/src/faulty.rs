@@ -153,12 +153,13 @@ pub struct FaultCampaignConfig {
     /// Watchdog no-progress window (should exceed the retry timeout, or
     /// ordinary timeouts read as livelock).
     pub watchdog_window: SimDuration,
-    /// Event-queue region shards for the run (`0` = resolve via
-    /// [`alphasim_kernel::par::shards`]). Results are byte-identical at
-    /// any value; the shard map only repartitions the queue.
+    /// Event-queue region shards for the run (`0` = resolve via the
+    /// campaign's default, then [`alphasim_kernel::par::shards`]). Results
+    /// are byte-identical at any value; the shard map only repartitions
+    /// the queue.
     pub shards: usize,
-    /// Worker threads driving the region shards (`0` = resolve via the
-    /// campaign's default, then [`alphasim_kernel::par::threads`]).
+    /// Worker threads driving the region shards (`0` = resolve via
+    /// [`alphasim_kernel::par::threads`]).
     /// Results are byte-identical at any value; threads only change which
     /// core advances each region.
     pub threads: usize,
@@ -291,10 +292,10 @@ pub struct FaultCampaign<T: Topology> {
     zboxes: Vec<Zbox>,
     front_overhead: SimDuration,
     directory_overhead: SimDuration,
-    /// Default `(region shards, worker threads)` when the config leaves
-    /// `shards`/`threads` at 0 (machine builders pass their own knobs
-    /// through here).
-    default_engine: (usize, usize),
+    /// Default region shards when the config leaves `shards` at 0 (the
+    /// machine builder's knob passes through here; `0` = fall through to
+    /// [`alphasim_kernel::par::shards`]).
+    default_shards: usize,
 }
 
 impl<T: Topology> FaultCampaign<T> {
@@ -320,15 +321,8 @@ impl<T: Topology> FaultCampaign<T> {
             zboxes,
             front_overhead,
             directory_overhead,
-            default_engine: (0, 0),
+            default_shards: 0,
         }
-    }
-
-    /// Default region-shard and worker-thread counts for runs whose config
-    /// leaves `shards`/`threads` at 0 (`0` = fall through to
-    /// [`alphasim_kernel::par::shards`]/[`threads`](alphasim_kernel::par::threads)).
-    pub fn set_default_engine(&mut self, shards: usize, threads: usize) {
-        self.default_engine = (shards, threads);
     }
 
     /// The bisection mirror of `cpu`: same row, column reflected across the
@@ -454,16 +448,18 @@ impl<T: Topology + Clone + Send + Sync + 'static> FaultCampaign<T> {
             cfg.watchdog_window > cfg.retry.timeout,
             "watchdog window must exceed the retry timeout"
         );
-        // The config's count wins, then the machine's default, then the
-        // process-wide knob; `0` means "not set" at every level.
-        let pick = |given: usize, default: usize, ambient: fn() -> usize| match (given, default) {
-            (0, 0) => ambient(),
+        // The config's count wins, then the machine's default (shards
+        // only), then the process-wide knob; `0` means "not set" at every
+        // level.
+        let shards = match (cfg.shards, self.default_shards) {
+            (0, 0) => alphasim_kernel::par::shards(),
             (0, d) => d,
             (g, _) => g,
         };
-        let (default_shards, default_threads) = self.default_engine;
-        let shards = pick(cfg.shards, default_shards, alphasim_kernel::par::shards);
-        let threads = pick(cfg.threads, default_threads, alphasim_kernel::par::threads);
+        let threads = match cfg.threads {
+            0 => alphasim_kernel::par::threads(),
+            n => n,
+        };
         let ncpus = self.cpus.len();
         let partners: Vec<usize> = match cfg.pattern {
             CampaignPattern::Bisection => {
@@ -878,8 +874,7 @@ pub fn gs1280_fault_campaign(machine: &crate::Gs1280) -> FaultCampaign<crate::gs
         calib.local_fixed,
         calib.remote_fixed,
     );
-    let (shards, threads) = machine.campaign_engine();
-    campaign.set_default_engine(shards, threads);
+    campaign.default_shards = machine.campaign_shards();
     campaign
 }
 

@@ -70,7 +70,7 @@ pub struct Gs1280Builder {
     shuffle: Option<RoutePolicy>,
     striping: bool,
     mem_per_cpu: u64,
-    engine: (usize, usize),
+    shards: usize,
 }
 
 impl Gs1280Builder {
@@ -115,16 +115,7 @@ impl Gs1280Builder {
     /// [`alphasim_kernel::par::shards`]). Regions partition the torus by
     /// row band without changing any result byte.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.engine.0 = shards;
-        self
-    }
-
-    /// Worker threads for every fault campaign this machine hands out
-    /// (`0`, the default, resolves via
-    /// [`alphasim_kernel::par::threads`]). Threads drive the region shards
-    /// on real cores without changing any result byte.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.engine.1 = threads;
+        self.shards = shards;
         self
     }
 
@@ -159,7 +150,7 @@ impl Gs1280Builder {
             policy,
             map: AddressMap::new(self.cpus, self.mem_per_cpu, interleave),
             one_way,
-            engine: self.engine,
+            shards: self.shards,
         }
     }
 }
@@ -173,9 +164,9 @@ pub struct Gs1280 {
     policy: RoutePolicy,
     map: AddressMap,
     one_way: Vec<Vec<SimDuration>>,
-    /// Default `(region shards, worker threads)` of this machine's fault
-    /// campaigns; `0` resolves via [`alphasim_kernel::par`] at run time.
-    engine: (usize, usize),
+    /// Default region shards of this machine's fault campaigns; `0`
+    /// resolves via [`alphasim_kernel::par::shards`] at run time.
+    shards: usize,
 }
 
 impl Gs1280 {
@@ -188,14 +179,14 @@ impl Gs1280 {
             shuffle: None,
             striping: false,
             mem_per_cpu: 1 << 30,
-            engine: (0, 0),
+            shards: 0,
         }
     }
 
-    /// Configured `(region shards, worker threads)` of this machine's fault
-    /// campaigns (`0` = resolve via [`alphasim_kernel::par`] at run time).
-    pub(crate) fn campaign_engine(&self) -> (usize, usize) {
-        self.engine
+    /// Configured region shards of this machine's fault campaigns (`0` =
+    /// resolve via [`alphasim_kernel::par::shards`] at run time).
+    pub(crate) fn campaign_shards(&self) -> usize {
+        self.shards
     }
 
     /// Number of CPUs.

@@ -63,8 +63,16 @@ impl Torus2D {
     ///
     /// # Panics
     ///
-    /// Panics if `cpus` is not one of the supported machine sizes.
+    /// Panics if `cpus` is not one of the supported machine sizes;
+    /// [`try_for_cpus`](Self::try_for_cpus) is the checked form.
     pub fn for_cpus(cpus: usize) -> Self {
+        Self::try_for_cpus(cpus).unwrap_or_else(|| panic!("unsupported GS1280 size: {cpus} CPUs"))
+    }
+
+    /// The standard configuration for `cpus` processors (see
+    /// [`for_cpus`](Self::for_cpus)), or `None` if `cpus` is not one of the
+    /// supported machine sizes.
+    pub fn try_for_cpus(cpus: usize) -> Option<Self> {
         let (cols, rows) = match cpus {
             2 => (2, 1),
             4 => (2, 2),
@@ -74,9 +82,9 @@ impl Torus2D {
             64 => (8, 8),
             128 => (16, 8),
             256 => (16, 16),
-            _ => panic!("unsupported GS1280 size: {cpus} CPUs"),
+            _ => return None,
         };
-        Torus2D::new(cols, rows)
+        Some(Torus2D::new(cols, rows))
     }
 
     /// Number of columns (East–West ring length).
@@ -322,6 +330,11 @@ mod tests {
         assert_eq!(Torus2D::for_cpus(32).name(), "torus-8x4");
         assert_eq!(Torus2D::for_cpus(64).name(), "torus-8x8");
         assert_eq!(Torus2D::for_cpus(8).name(), "torus-4x2");
+        assert_eq!(
+            Torus2D::try_for_cpus(2).map(|t| t.name()),
+            Some("torus-2x1".into())
+        );
+        assert!(Torus2D::try_for_cpus(12).is_none());
     }
 
     #[test]

@@ -23,13 +23,10 @@
 
 pub mod apps;
 pub mod gups;
-pub mod mpi;
-pub mod nas;
 mod pointer_chase;
 pub mod sharing;
 pub mod spec;
 mod stream;
-pub mod trace;
 
 pub use gups::{Gups, GupsConfig};
 pub use pointer_chase::PointerChase;

@@ -26,10 +26,8 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod counters;
 mod render;
 mod snapshot;
 
-pub use counters::{CounterBlock, CounterDelta};
 pub use render::{render, render_metric, Metric};
-pub use snapshot::{detect_hot_spots, HotSpotReport, MeshSnapshot, NodeCounters, Timeline};
+pub use snapshot::{detect_hot_spots, HotSpotReport, MeshSnapshot, NodeCounters};

@@ -1,7 +1,5 @@
 //! Per-node counter snapshots and hot-spot detection.
 
-use alphasim_kernel::stats::TimeSeries;
-use alphasim_kernel::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// One node's gauges, as fractions in `[0, 1]`.
@@ -71,16 +69,6 @@ impl MeshSnapshot {
     pub fn get(&self, i: usize) -> NodeCounters {
         self.nodes[i]
     }
-
-    /// Mean Zbox utilization over all nodes.
-    pub fn mean_zbox(&self) -> f64 {
-        self.nodes.iter().map(|n| n.zbox_util).sum::<f64>() / self.nodes.len() as f64
-    }
-
-    /// Mean IP-link utilization over all nodes.
-    pub fn mean_ip(&self) -> f64 {
-        self.nodes.iter().map(|n| n.ip_util).sum::<f64>() / self.nodes.len() as f64
-    }
 }
 
 /// The result of hot-spot detection.
@@ -126,48 +114,6 @@ pub fn detect_hot_spots(snap: &MeshSnapshot) -> HotSpotReport {
     }
 }
 
-/// A collection of named utilization time series sampled on a common clock
-/// — what an Xmesh strip chart shows (Figs. 10–11, 20, 22, 24).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Timeline {
-    series: Vec<TimeSeries>,
-}
-
-impl Timeline {
-    /// An empty timeline.
-    pub fn new() -> Self {
-        Timeline::default()
-    }
-
-    /// Record `samples` points of `f(t)` (with `t ∈ [0,1]`) under `name`,
-    /// with `interval_ns` between samples.
-    pub fn record(
-        &mut self,
-        name: impl Into<String>,
-        samples: usize,
-        interval_ns: f64,
-        mut f: impl FnMut(f64) -> f64,
-    ) {
-        let mut ts = TimeSeries::new(name);
-        for i in 0..samples {
-            let t = (i as f64 + 0.5) / samples as f64;
-            let at = SimTime::from_ps(((i + 1) as f64 * interval_ns * 1000.0) as u64);
-            ts.push(at, f(t));
-        }
-        self.series.push(ts);
-    }
-
-    /// The recorded series.
-    pub fn series(&self) -> &[TimeSeries] {
-        &self.series
-    }
-
-    /// A series by name.
-    pub fn by_name(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.iter().find(|s| s.name() == name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,8 +132,6 @@ mod tests {
             },
         );
         assert_eq!(s.get(3).zbox_util, 0.5);
-        assert!((s.mean_zbox() - 0.0625).abs() < 1e-12);
-        assert!((s.mean_ip() - 0.03125).abs() < 1e-12);
     }
 
     #[test]
@@ -245,17 +189,5 @@ mod tests {
             },
         );
         assert!(detect_hot_spots(&s).hot_nodes.is_empty());
-    }
-
-    #[test]
-    fn timeline_records_and_finds_series() {
-        let mut tl = Timeline::new();
-        tl.record("zbox0", 10, 100.0, |t| t * 100.0);
-        tl.record("ip0", 10, 100.0, |_| 5.0);
-        assert_eq!(tl.series().len(), 2);
-        let z = tl.by_name("zbox0").unwrap();
-        assert_eq!(z.len(), 10);
-        assert!(z.samples()[9].value > z.samples()[0].value);
-        assert!(tl.by_name("nope").is_none());
     }
 }

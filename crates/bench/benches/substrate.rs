@@ -205,8 +205,9 @@ fn bench_kernel(c: &mut Criterion) {
         })
     });
 
-    // Wave traffic with drains between waves: exercises the message free
-    // list (slot table stays one wave deep instead of growing 20×).
+    // Wave traffic with drains between waves: exercises the packet free
+    // lists (queue slots and packet boxes stay one wave deep instead of
+    // growing 20×).
     g.throughput(Throughput::Elements(2_000));
     g.bench_function("network_20_waves_of_100_messages_8x8", |b| {
         b.iter(|| {
@@ -227,7 +228,7 @@ fn bench_kernel(c: &mut Criterion) {
                 }
                 net.drain();
             }
-            black_box((net.delivered_count(), net.msg_slot_count()))
+            black_box(net.delivered_count())
         })
     });
     g.finish();

@@ -6,10 +6,11 @@
 //! the global arbiter, which selects a packet from those nominated for it
 //! by the local arbiters."
 //!
-//! [`NetworkSim`](crate::NetworkSim) abstracts this into per-link
-//! priority queues; this module models the mechanism itself, cycle by
-//! arbitration cycle, so its fairness and work-conservation properties can
-//! be tested directly — they are the justification for the abstraction.
+//! The fabric's hop model, [`RegionNet`](crate::partition::RegionNet),
+//! abstracts this into per-link priority queues; this module models the
+//! mechanism itself, cycle by arbitration cycle, so its fairness and
+//! work-conservation properties can be tested directly — they are the
+//! justification for the abstraction.
 
 use alphasim_kernel::DetRng;
 

@@ -7,15 +7,15 @@
 //! dimension-order escape routing against torus deadlocks, and an Adaptive
 //! channel giving minimal adaptive routing.
 //!
-//! [`NetworkSim`] reproduces this at message granularity: per-class VC
-//! queues with strict-priority output arbitration, minimal adaptive output
-//! selection by backlog, wormhole-style latency accounting, and calibrated
-//! congestion penalties (see `DESIGN.md` for the fidelity argument). It is
-//! the fault-free fabric of the paper's load tests, driven by one
-//! sequential event queue. [`partition::RegionNet`] is the only faulty
-//! fabric: it splits the same hop model into torus row-band regions for the
-//! epoch engine, and applies live link cuts, degradation, CRC retransmits,
-//! router pauses and drains at epoch barriers. The deadlock-freedom
+//! [`partition::RegionNet`] reproduces this at message granularity: per-class
+//! VC queues with strict-priority output arbitration, minimal adaptive
+//! output selection by backlog, wormhole-style latency accounting, and
+//! calibrated congestion penalties (see `DESIGN.md` for the fidelity
+//! argument). It is the one hop model in the crate. The epoch engine splits
+//! it into torus row-band regions and applies live link cuts, degradation,
+//! CRC retransmits, router pauses and drains at epoch barriers;
+//! [`NetworkSim`] runs it as a single healthy region behind one sequential
+//! event queue, the fabric of the paper's load tests. The deadlock-freedom
 //! construction itself is checked as a graph property in
 //! [`alphasim_topology::route`].
 //!

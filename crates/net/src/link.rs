@@ -95,6 +95,17 @@ impl Link {
         None
     }
 
+    /// Global arbitration on an idle channel with empty VCs: the arriving
+    /// packet wins without queueing. Marks the channel busy.
+    pub(crate) fn grant_idle(&mut self) {
+        debug_assert!(
+            !self.busy && self.backlog() == 0,
+            "only an idle, empty link grants on arrival"
+        );
+        self.busy = true;
+        self.granted += 1;
+    }
+
     /// Whether the physical channel is up.
     pub fn is_alive(&self) -> bool {
         self.alive

@@ -94,8 +94,6 @@ impl MessageId {
 /// [`NetworkSim::step`]: crate::NetworkSim::step
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Delivery {
-    /// The message's id.
-    pub id: MessageId,
     /// Source endpoint.
     pub src: NodeId,
     /// Destination endpoint.

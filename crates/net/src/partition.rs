@@ -1,9 +1,11 @@
-//! Region-partitioned fabric state for epoch-parallel closed-loop
-//! simulation — the only fabric that models live faults.
+//! Region-partitioned fabric state: the one hop model of the 21364
+//! router, for the fault campaigns' epoch engine and for the load tests'
+//! [`NetworkSim`](crate::NetworkSim).
 //!
 //! This module splits the fabric into per-region slices so the
 //! conservative epoch engine ([`alphasim_kernel::shard::EpochExecutor`])
-//! can advance each torus row band on its own core:
+//! can advance each torus row band on its own core; `NetworkSim` runs the
+//! whole fabric as one region behind a single event queue:
 //!
 //! * [`FabricTables`] is the **shared, immutable** routing snapshot —
 //!   topology, route tables over the live fabric, link liveness, drain
@@ -17,11 +19,12 @@
 //!   them. A packet in flight between hops lives inside its pending
 //!   `Arrive` event, not in any region — hop handoff is event handoff.
 //!
-//! The hop arithmetic is grant, congestion penalty and serialization-once,
-//! plus the fault terms only this fabric carries: the degrade stretch and
-//! the CRC retransmit. On a healthy fabric at zero load it reduces to the
-//! fault-free [`NetworkSim`](crate::NetworkSim)'s, which serves as its
-//! reference in `hop_math_matches_networksim_zero_load`. Determinism
+//! The hop arithmetic — grant, congestion penalty, serialization-once and
+//! wire flight, plus the fault terms: the degrade stretch and the CRC
+//! retransmit — lives only in [`RegionNet`]'s `start_transfer`. On a
+//! healthy fabric at zero load it reduces to the analytic
+//! [`NetworkSim::unloaded_latency`](crate::NetworkSim::unloaded_latency),
+//! checked in `hop_math_matches_networksim_zero_load`. Determinism
 //! across shard counts follows because every event touches only its own
 //! node's links and every simultaneous pair of events is ordered by a
 //! shard-count-invariant tiebreak (see the `tb_*` constructors).
@@ -125,11 +128,11 @@ pub fn tb_inject(cpu: usize) -> u64 {
     (4 << 61) | cpu as u64
 }
 
-/// A message travelling the partitioned fabric. Unlike `NetworkSim`'s
-/// slab-resident `MsgState`, a `Packet` is an owned value: queued packets
-/// live in their sending region's slab, in-flight packets live inside
-/// their pending `Arrive` event, and the closed-loop payload `P` (e.g. the
-/// served-request telemetry leg a response carries home) rides along.
+/// A message travelling the partitioned fabric. A `Packet` is an owned
+/// value: queued packets live in their sending region's slab, in-flight
+/// packets live inside their pending `Arrive` event, and the closed-loop
+/// payload `P` (e.g. the served-request telemetry leg a response carries
+/// home) rides along.
 #[derive(Debug, Clone)]
 pub struct Packet<P> {
     /// Injecting node.
@@ -311,9 +314,9 @@ impl<T: Topology> FabricTables<T> {
         &self.timing
     }
 
-    /// The region partition.
-    pub fn region_map(&self) -> &RegionMap {
-        &self.region
+    /// The routing policy the route tables were computed under.
+    pub(crate) fn policy(&self) -> RoutePolicy {
+        self.policy
     }
 
     /// Number of regions.
@@ -696,12 +699,6 @@ impl<T: Topology, P> RegionNet<T, P> {
         )));
     }
 
-    /// The heat accumulators, when enabled — for callers charging extra
-    /// windowed metrics (e.g. memory service counters).
-    pub fn heat_mut(&mut self) -> Option<&mut NetHeat> {
-        self.heat.as_deref_mut()
-    }
-
     /// Detach and return the accumulated heat, if it was enabled.
     pub fn take_heat(&mut self) -> Option<NetHeat> {
         self.heat.take().map(|b| *b)
@@ -723,11 +720,6 @@ impl<T: Topology, P> RegionNet<T, P> {
         self.links[id]
             .as_ref()
             .expect("link is owned by this region")
-    }
-
-    /// Whether this region owns link `id`.
-    pub fn owns_link(&self, id: usize) -> bool {
-        self.links[id].is_some()
     }
 
     /// The drop-condemnation ticket of the packet last granted on `id`.
@@ -800,12 +792,15 @@ impl<T: Topology, P> RegionNet<T, P> {
             return;
         }
         let link = self.choose_output(node, &pkt);
-        let class = pkt.class;
-        let slot = self.alloc_slot(pkt);
-        let l = self.links[link].as_mut().expect("chosen link is owned");
-        l.enqueue(class, slot);
-        if !l.is_busy() {
-            self.start_transfer(link, now, steps);
+        if self.link(link).is_busy() {
+            let class = pkt.class;
+            let slot = self.alloc_slot(pkt);
+            self.link_mut(link).enqueue(class, slot);
+        } else {
+            // An idle live link has empty queues, so the arrival wins
+            // arbitration at once and never needs a slab slot.
+            self.link_mut(link).grant_idle();
+            self.start_transfer(link, now, pkt, steps);
         }
     }
 
@@ -822,8 +817,12 @@ impl<T: Topology, P> RegionNet<T, P> {
             return;
         }
         l.release();
-        if l.is_alive() && l.backlog() > 0 {
-            self.start_transfer(link, now, steps);
+        if !l.is_alive() {
+            return;
+        }
+        if let Some(mid) = l.grant() {
+            let pkt = self.take_slot(mid);
+            self.start_transfer(link, now, pkt, steps);
         }
     }
 
@@ -836,40 +835,39 @@ impl<T: Topology, P> RegionNet<T, P> {
             inner: &t.topo,
             ports: &t.live_ports,
         };
-        let candidates = t.routes.minimal_ports(&view, node, pkt.hops, pkt.dst);
-        debug_assert!(!candidates.is_empty(), "routing dead end");
+        let link_of = &t.live_link_of[node.index()];
+        let mut candidates = t.routes.minimal_ports(&view, node, pkt.hops, pkt.dst);
         let chosen = if pkt.class.may_route_adaptively() {
-            *candidates
-                .iter()
-                .min_by_key(|&&pi| {
-                    let link = self.links[t.live_link_of[node.index()][pi]]
-                        .as_ref()
-                        .expect("candidate link is owned by the sender's region");
-                    (link.backlog() + usize::from(link.is_busy()), pi)
-                })
-                .expect("non-empty candidates")
+            candidates.min_by_key(|&pi| {
+                let link = self.links[link_of[pi]]
+                    .as_ref()
+                    .expect("candidate link is owned by the sender's region");
+                (link.backlog() + usize::from(link.is_busy()), pi)
+            })
         } else {
-            candidates[0]
+            candidates.next()
         };
-        t.live_link_of[node.index()][chosen]
+        link_of[chosen.expect("a minimal port exists: routing never dead-ends")]
     }
 
-    /// Grant the head-of-queue packet on `link_id` and emit its arrival
-    /// and the link's next availability. A degraded link stretches transfer
-    /// and wire time by its factor; an armed corruption costs one extra
+    /// Send `pkt`, just granted on `link_id`, and emit its arrival and the
+    /// link's next availability. A degraded link stretches transfer and
+    /// wire time by its factor; an armed corruption costs one extra
     /// transfer plus one extra wire flight.
-    fn start_transfer(&mut self, link_id: usize, now: SimTime, steps: &mut Vec<NetStep<P>>) {
+    fn start_transfer(
+        &mut self,
+        link_id: usize,
+        now: SimTime,
+        mut pkt: Box<Packet<P>>,
+        steps: &mut Vec<NetStep<P>>,
+    ) {
         let timing = self.tables.timing;
         let l = self.links[link_id].as_mut().expect("granting owned link");
-        let Some(mid) = l.grant() else {
-            return;
-        };
         let stretch = l.degrade_factor();
         let retransmit = l.take_corruption();
         let backlog = l.backlog() as u32;
         let link_class = l.class;
         let to = l.to;
-        let mut pkt = self.take_slot(mid);
         let transfer =
             SimDuration::transfer_time(pkt.bytes, timing.bandwidth_gbps).saturating_mul(stretch);
         let penalty = SimDuration::from_ns(
@@ -1135,8 +1133,8 @@ mod tests {
 
     #[test]
     fn hop_math_matches_networksim_zero_load() {
-        // One packet, idle fabric: latency must equal NetworkSim's
-        // unloaded analytic (serialization once + per-hop router + wire).
+        // One packet, idle fabric: latency must equal the analytic
+        // `unloaded_latency` (serialization once + per-hop router + wire).
         let t = Arc::new(tables(1));
         let mut nets = vec![RegionNet::<Torus2D, ()>::new(0, t.clone())];
         let pkt = packet(0, 1, 7 << 16);
@@ -1276,6 +1274,78 @@ mod tests {
             done[1].3, done[1].1,
             "breakdown must sum exactly to latency"
         );
+    }
+
+    #[test]
+    fn msg_slots_bounded_by_in_flight_population() {
+        // Regression test for the slab's free list: send 20 waves of 50
+        // packets, draining between waves. Live slot capacity must track the
+        // queued high-water mark (≤ one wave), not the 1000 total sent.
+        let t = Arc::new(tables(1));
+        let mut nets = vec![RegionNet::<Torus2D, ()>::new(0, t)];
+        let mut rng = alphasim_kernel::DetRng::seeded(7);
+        let mut now = SimTime::ZERO;
+        for wave in 0..20u64 {
+            let mut seed = Vec::new();
+            for i in 0..50u64 {
+                let src = rng.index(16);
+                let dst = rng.index_excluding(16, src);
+                let mut pkt = packet(src, dst, (wave * 50 + i) << 16);
+                (pkt.injected_at, pkt.enqueued_at) = (now, now);
+                let (node, tb) = (pkt.src, tb_arrive(pkt.uid));
+                seed.push((now, tb, 0, NetStep::Arrive { at: now, node, pkt }));
+            }
+            let done = run_to_empty(&mut nets, seed);
+            now = SimTime::from_ps(done.iter().map(|d| d.1).max().expect("a wave"));
+        }
+        assert_eq!(nets[0].delivered(), 1000);
+        assert!(!nets[0].slab.is_empty(), "waves queue behind busy links");
+        assert!(
+            nets[0].slab.len() <= 50,
+            "slot table grew past one wave: {}",
+            nets[0].slab.len()
+        );
+        // Everything is delivered, so every allocated slot is reusable.
+        assert_eq!(nets[0].free.len(), nets[0].slab.len());
+    }
+
+    #[test]
+    fn recycled_ids_deliver_with_correct_payloads() {
+        // Two packets on one link: the first is granted on arrival, the
+        // second waits in slot 0 until the link frees.
+        let t = Arc::new(tables(1));
+        let mut nets = vec![RegionNet::<Torus2D, ()>::new(0, t.clone())];
+        let seed = [1 << 16, 2 << 16].map(|uid| {
+            let arrive = NetStep::Arrive {
+                at: SimTime::ZERO,
+                node: NodeId::new(0),
+                pkt: packet(0, 1, uid),
+            };
+            (SimTime::ZERO, tb_arrive(uid), 0, arrive)
+        });
+        let first = run_to_empty(&mut nets, seed.into());
+        assert_eq!(first.len(), 2);
+        assert_eq!((nets[0].slab.len(), nets[0].free.as_slice()), (1, &[0][..]));
+        // After the slot is recycled it must hold its new packet's
+        // src/dst/tag, not the previous occupant's.
+        let at = SimTime::from_ps(first[1].1);
+        let mut forward = packet(2, 3, 4 << 16);
+        (forward.class, forward.bytes) = (MessageClass::Forward, 32);
+        let mut steps = Vec::new();
+        for pkt in [packet(2, 3, 3 << 16), forward] {
+            nets[0].handle_arrive(at, NodeId::new(2), pkt, &mut steps);
+        }
+        assert_eq!(nets[0].slab.len(), 1, "slot was recycled");
+        let queued = nets[0].slab[0].as_ref().expect("the second packet waits");
+        assert_eq!(queued.tag, 4);
+        assert_eq!((queued.src, queued.dst), (NodeId::new(2), NodeId::new(3)));
+        assert_eq!((queued.class, queued.bytes), (MessageClass::Forward, 32));
+        let (mut pending, mut done) = (Vec::new(), Vec::new());
+        file_steps(&t, at, steps, &mut pending, &mut done);
+        done.extend(run_to_empty(&mut nets, pending));
+        let uids: Vec<u64> = done.iter().map(|d| d.0).collect();
+        assert_eq!(uids, [3 << 16, 4 << 16]);
+        assert_eq!(nets[0].free.len(), nets[0].slab.len());
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! The message-level network simulator: the fault-free fabric of the
-//! paper's closed-loop load tests.
+//! paper's closed-loop load tests, driven by one sequential event queue.
+
+use std::sync::Arc;
 
 use alphasim_kernel::{EventQueue, SimDuration, SimTime};
 use alphasim_telemetry::HopBreakdown;
-use alphasim_topology::route::{RoutePolicy, Routes};
+use alphasim_topology::route::RoutePolicy;
 use alphasim_topology::{NodeId, Topology};
 
 use crate::link::Link;
-use crate::msg::{Delivery, MessageClass, MessageId};
+use crate::msg::{Delivery, MessageClass};
+use crate::partition::{FabricTables, NetStep, Packet, RegionNet};
 use crate::timing::LinkTiming;
 
 /// What one [`NetworkSim::step`] produced.
@@ -20,35 +23,20 @@ pub enum Step {
 }
 
 #[derive(Debug)]
-struct MsgState {
-    src: NodeId,
-    dst: NodeId,
-    class: MessageClass,
-    bytes: u64,
-    tag: u64,
-    injected_at: SimTime,
-    hops: u32,
-    serialized: bool,
-    /// When the message last joined an output queue (injection or a hop
-    /// arrival): the epoch its next grant wait is measured from.
-    enqueued_at: SimTime,
-    /// Per-stage latency attribution accumulated along the route.
-    acc: HopBreakdown,
-}
-
-#[derive(Debug)]
 enum Event {
-    Arrive { msg: MessageId, node: NodeId },
+    Arrive { node: NodeId, pkt: Box<Packet<()>> },
     LinkFree { link: usize },
 }
 
 /// A discrete-event, message-level simulator of one healthy fabric.
 ///
 /// This is the fabric of the paper's fault-free load tests (Figs. 15, 18,
-/// 23–28). Live faults — link cuts, degradation, CRC retransmits, router
-/// pauses, drains — are modelled only by the epoch engine's
-/// [`RegionNet`](crate::partition::RegionNet); a statically wounded
-/// fabric is a [`Degraded`](alphasim_topology::Degraded) topology.
+/// 23–28): the whole fabric as a single [`RegionNet`] region, whose hop
+/// model it shares with the fault campaigns, stepped by one
+/// `(time, insertion order)` event queue. Live faults — link cuts,
+/// degradation, CRC retransmits, router pauses, drains — are applied only
+/// by the epoch engine at its barriers; a statically wounded fabric is a
+/// [`Degraded`](alphasim_topology::Degraded) topology.
 ///
 /// Fidelity choices (see DESIGN.md):
 ///
@@ -87,24 +75,15 @@ enum Event {
 /// ```
 #[derive(Debug)]
 pub struct NetworkSim<T: Topology> {
-    topo: T,
-    routes: Routes,
-    policy: RoutePolicy,
-    timing: LinkTiming,
-    links: Vec<Link>,
-    /// node index → port index → link id.
-    link_of: Vec<Vec<usize>>,
+    net: RegionNet<T, ()>,
     /// The future-event list: `(time, insertion order)` pops, so the event
     /// order — and therefore every output byte — is deterministic.
     events: EventQueue<Event>,
-    msgs: Vec<MsgState>,
-    /// Slots in `msgs` whose message has been delivered, ready for reuse.
-    /// A delivered [`MessageId`] is never dereferenced again (deliveries
-    /// copy every field out, and link queues only hold in-flight ids), so
-    /// recycling keeps `msgs` sized to the *in-flight* population instead of
-    /// growing with every message ever sent.
-    free: Vec<u32>,
-    delivered: u64,
+    /// The follow-ups one event emits, reused across steps.
+    steps: Vec<NetStep<()>>,
+    /// The last delivered packet's box, reused by the next
+    /// [`send`](Self::send): a closed loop sends right after each delivery.
+    spare: Option<Box<Packet<()>>>,
 }
 
 impl<T: Topology> NetworkSim<T> {
@@ -115,45 +94,23 @@ impl<T: Topology> NetworkSim<T> {
 
     /// A simulator with an explicit shuffle-link policy (Fig. 18).
     pub fn with_policy(topo: T, timing: LinkTiming, policy: RoutePolicy) -> Self {
-        let routes = Routes::compute(&topo, policy);
-        let mut links = Vec::new();
-        let mut link_of = Vec::with_capacity(topo.node_count());
-        for n in 0..topo.node_count() {
-            let node = NodeId::new(n);
-            let mut ids = Vec::new();
-            for p in topo.ports(node) {
-                ids.push(links.len());
-                links.push(Link::new(node, p.to, p.class, p.dir));
-            }
-            link_of.push(ids);
-        }
+        let tables = FabricTables::new(topo, timing, policy, 1);
         NetworkSim {
-            topo,
-            routes,
-            policy,
-            timing,
-            links,
-            link_of,
+            net: RegionNet::new(0, Arc::new(tables)),
             events: EventQueue::new(),
-            msgs: Vec::new(),
-            free: Vec::new(),
-            delivered: 0,
+            steps: Vec::new(),
+            spare: None,
         }
     }
 
     /// The simulated topology.
     pub fn topology(&self) -> &T {
-        &self.topo
-    }
-
-    /// The timing parameters in force.
-    pub fn timing(&self) -> &LinkTiming {
-        &self.timing
+        self.net.tables().topology()
     }
 
     /// The routing policy in force.
     pub fn policy(&self) -> RoutePolicy {
-        self.policy
+        self.net.tables().policy()
     }
 
     /// Current simulation time.
@@ -163,26 +120,7 @@ impl<T: Topology> NetworkSim<T> {
 
     /// Messages delivered so far.
     pub fn delivered_count(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Message slots currently allocated (the high-water mark of messages
-    /// simultaneously in flight, not the total ever sent — delivered slots
-    /// are recycled through a free list).
-    pub fn msg_slot_count(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// Of the allocated slots, how many are free for reuse right now.
-    pub fn free_slot_count(&self) -> usize {
-        self.free.len()
-    }
-
-    /// High-water mark of this simulator's own pending-event count (unlike
-    /// the process-wide gauge in `alphasim_kernel`, this is scoped to one
-    /// run and therefore deterministic under concurrent sweeps).
-    pub fn event_queue_peak(&self) -> usize {
-        self.events.peak_len()
+        self.net.delivered()
     }
 
     /// Inject a message at time `at` (which must not be in the past).
@@ -199,73 +137,71 @@ impl<T: Topology> NetworkSim<T> {
         class: MessageClass,
         bytes: u64,
         tag: u64,
-    ) -> MessageId {
-        assert!(src.index() < self.topo.node_count(), "bad source");
-        assert!(dst.index() < self.topo.node_count(), "bad destination");
-        let state = MsgState {
+    ) {
+        let nodes = self.topology().node_count();
+        assert!(src.index() < nodes, "bad source");
+        assert!(dst.index() < nodes, "bad destination");
+        let pkt = Packet {
             src,
             dst,
             class,
             bytes,
             tag,
+            // Events pop in insertion order here, so no tiebreak identity
+            // is needed.
+            uid: 0,
             injected_at: at,
             hops: 0,
             serialized: false,
             enqueued_at: at,
             acc: HopBreakdown::default(),
+            payload: (),
         };
-        let id = if let Some(slot) = self.free.pop() {
-            self.msgs[slot as usize] = state;
-            MessageId(slot)
-        } else {
-            let id = MessageId(u32::try_from(self.msgs.len()).expect("too many messages"));
-            self.msgs.push(state);
-            id
+        let pkt = match self.spare.take() {
+            Some(mut spare) => {
+                *spare = pkt;
+                spare
+            }
+            None => Box::new(pkt),
         };
-        self.events
-            .schedule(at, Event::Arrive { msg: id, node: src });
-        id
+        self.events.schedule(at, Event::Arrive { node: src, pkt });
     }
 
     /// Process one event. `None` when the network is drained.
     pub fn step(&mut self) -> Option<Step> {
         let (now, event) = self.events.pop()?;
         match event {
-            Event::Arrive { msg, node } => {
-                if node == self.msgs[msg.index()].dst {
-                    self.delivered += 1;
-                    let m = &self.msgs[msg.index()];
-                    let delivery = Delivery {
-                        id: msg,
-                        src: m.src,
-                        dst: m.dst,
-                        class: m.class,
-                        bytes: m.bytes,
-                        tag: m.tag,
-                        injected_at: m.injected_at,
+            Event::Arrive { node, pkt } => self.net.handle_arrive(now, node, pkt, &mut self.steps),
+            Event::LinkFree { link } => self.net.handle_link_free(now, link, &mut self.steps),
+        }
+        let mut step = Step::Internal;
+        // Scheduled in emission order, which keeps the event order of a
+        // hop (arrival before release) fixed.
+        for s in self.steps.drain(..) {
+            match s {
+                NetStep::Arrive { at, node, pkt } => {
+                    self.events.schedule(at, Event::Arrive { node, pkt });
+                }
+                NetStep::LinkFree { at, link } => {
+                    self.events.schedule(at, Event::LinkFree { link });
+                }
+                NetStep::Delivered { pkt } => {
+                    step = Step::Delivered(Delivery {
+                        src: pkt.src,
+                        dst: pkt.dst,
+                        class: pkt.class,
+                        bytes: pkt.bytes,
+                        tag: pkt.tag,
+                        injected_at: pkt.injected_at,
                         delivered_at: now,
-                        hops: m.hops,
-                        breakdown: m.acc,
-                    };
-                    self.free.push(msg.0);
-                    return Some(Step::Delivered(delivery));
+                        hops: pkt.hops,
+                        breakdown: pkt.acc,
+                    });
+                    self.spare = Some(pkt);
                 }
-                let link_id = self.choose_output(msg, node);
-                let class = self.msgs[msg.index()].class;
-                self.links[link_id].enqueue(class, msg);
-                if !self.links[link_id].is_busy() {
-                    self.start_transfer(link_id, now);
-                }
-                Some(Step::Internal)
-            }
-            Event::LinkFree { link } => {
-                self.links[link].release();
-                if self.links[link].backlog() > 0 {
-                    self.start_transfer(link, now);
-                }
-                Some(Step::Internal)
             }
         }
+        Some(step)
     }
 
     /// Run until no events remain, discarding deliveries.
@@ -284,70 +220,6 @@ impl<T: Topology> NetworkSim<T> {
         out
     }
 
-    /// Pick the output link for `msg` at `node`: minimal adaptive for
-    /// coherence classes, deterministic (first minimal port) for I/O.
-    fn choose_output(&self, msg: MessageId, node: NodeId) -> usize {
-        let m = &self.msgs[msg.index()];
-        let candidates = self.routes.minimal_ports(&self.topo, node, m.hops, m.dst);
-        debug_assert!(!candidates.is_empty(), "routing dead end");
-        let chosen = if m.class.may_route_adaptively() {
-            *candidates
-                .iter()
-                .min_by_key(|&&pi| {
-                    let link = &self.links[self.link_of[node.index()][pi]];
-                    (link.backlog() + usize::from(link.is_busy()), pi)
-                })
-                .expect("non-empty candidates")
-        } else {
-            candidates[0]
-        };
-        self.link_of[node.index()][chosen]
-    }
-
-    /// Grant the head-of-queue packet on `link_id` and schedule its arrival
-    /// and the link's next availability.
-    fn start_transfer(&mut self, link_id: usize, now: SimTime) {
-        let Some(msg) = self.links[link_id].grant() else {
-            return;
-        };
-        let m = &mut self.msgs[msg.index()];
-        let transfer = SimDuration::transfer_time(m.bytes, self.timing.bandwidth_gbps);
-        let backlog = self.links[link_id].backlog() as u32;
-        let penalty = SimDuration::from_ns(
-            f64::from(backlog.min(self.timing.congestion_cap))
-                * self.timing.congestion_ns_per_queued,
-        );
-        let serialization = if m.serialized {
-            SimDuration::ZERO
-        } else {
-            m.serialized = true;
-            transfer
-        };
-        let wire = self.timing.wire(self.links[link_id].class);
-        let occupancy = transfer + penalty;
-        m.hops += 1;
-        // Per-hop latency attribution. The arrival below fires at exactly
-        // grant + router + wire + serialization + penalty, so these integer
-        // picosecond charges sum to the end-to-end latency with no
-        // rounding. `enqueued_at` then moves to the arrival instant: the
-        // message joins its next output queue the moment it arrives, so the
-        // next hop's grant wait is measured from there.
-        m.acc.queued_ps += now.since(m.enqueued_at).as_ps();
-        m.acc.router_ps += self.timing.router_latency.as_ps();
-        m.acc.wire_ps += wire.as_ps();
-        m.acc.serialization_ps += serialization.as_ps();
-        m.acc.congestion_ps += penalty.as_ps();
-        let arrive_at = now + self.timing.router_latency + wire + serialization + penalty;
-        m.enqueued_at = arrive_at;
-        let to = self.links[link_id].to;
-        let (class, bytes) = (m.class, m.bytes);
-        self.links[link_id].account(class, bytes, occupancy);
-        self.events
-            .schedule(arrive_at, Event::Arrive { msg, node: to });
-        self.events
-            .schedule(now + occupancy, Event::LinkFree { link: link_id });
-    }
-
     /// The zero-load latency of a `bytes`-sized message over `hops` hops of
     /// `class`-class links (analytic; used to calibrate and to test the
     /// simulator against itself).
@@ -356,11 +228,17 @@ impl<T: Topology> NetworkSim<T> {
         hops: &[alphasim_topology::LinkClass],
         bytes: u64,
     ) -> SimDuration {
-        let mut total = SimDuration::transfer_time(bytes, self.timing.bandwidth_gbps);
+        let timing = self.net.tables().timing();
+        let mut total = SimDuration::transfer_time(bytes, timing.bandwidth_gbps);
         for &class in hops {
-            total += self.timing.router_latency + self.timing.wire(class);
+            total += timing.router_latency + timing.wire(class);
         }
         total
+    }
+
+    /// Every directed link of the fabric.
+    fn links(&self) -> impl Iterator<Item = &Link> + '_ {
+        (0..self.net.tables().link_count()).map(|id| self.net.link(id))
     }
 
     /// Per-link statistics: `(from, to, direction, utilization, bytes)`.
@@ -376,8 +254,7 @@ impl<T: Topology> NetworkSim<T> {
         ),
     > + '_ {
         let now = self.now();
-        self.links
-            .iter()
+        self.links()
             .map(move |l| (l.from, l.to, l.dir, l.utilization(now), l.bytes()))
     }
 
@@ -389,8 +266,7 @@ impl<T: Topology> NetworkSim<T> {
     ) -> f64 {
         let now = self.now();
         let (sum, n) = self
-            .links
-            .iter()
+            .links()
             .filter(|l| pred(l.dir))
             .fold((0.0, 0usize), |(s, n), l| (s + l.utilization(now), n + 1));
         if n == 0 {
@@ -402,30 +278,19 @@ impl<T: Topology> NetworkSim<T> {
 
     /// Total bytes delivered onto links of the whole fabric.
     pub fn total_link_bytes(&self) -> u64 {
-        self.links.iter().map(Link::bytes).sum()
+        self.links().map(Link::bytes).sum()
     }
 
     /// Total packet grants across all output arbiters (each hop of each
     /// message is one grant).
     pub fn total_grants(&self) -> u64 {
-        self.links.iter().map(Link::granted).sum()
+        self.links().map(Link::granted).sum()
     }
 
     /// Fabric bytes moved per message class — the protocol-traffic
     /// breakdown (data responses dominate coherence traffic).
     pub fn class_byte_totals(&self) -> [(MessageClass, u64); 5] {
-        MessageClass::ALL.map(|c| (c, self.links.iter().map(|l| l.class_bytes(c)).sum()))
-    }
-
-    /// Mean cumulative busy time of one node's outgoing links, for interval
-    /// sampling of its IP-link gauge.
-    pub fn node_ip_busy(&self, node: NodeId) -> SimDuration {
-        let ids = &self.link_of[node.index()];
-        if ids.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let total: SimDuration = ids.iter().map(|&i| self.links[i].busy_time()).sum();
-        total / ids.len() as u64
+        MessageClass::ALL.map(|c| (c, self.links().map(|l| l.class_bytes(c)).sum()))
     }
 
     /// Mean cumulative busy time over links whose direction satisfies
@@ -435,8 +300,7 @@ impl<T: Topology> NetworkSim<T> {
         pred: impl Fn(Option<alphasim_topology::Direction>) -> bool,
     ) -> SimDuration {
         let (sum, n) = self
-            .links
-            .iter()
+            .links()
             .filter(|l| pred(l.dir))
             .fold((SimDuration::ZERO, 0u64), |(s, n), l| {
                 (s + l.busy_time(), n + 1)
@@ -452,12 +316,12 @@ impl<T: Topology> NetworkSim<T> {
     /// IP-link gauge).
     pub fn node_ip_utilization(&self, node: NodeId) -> f64 {
         let now = self.now();
-        let ids = &self.link_of[node.index()];
+        let ids = self.net.tables().links_from(node);
         if ids.is_empty() {
             return 0.0;
         }
         ids.iter()
-            .map(|&i| self.links[i].utilization(now))
+            .map(|&i| self.net.link(i).utilization(now))
             .sum::<f64>()
             / ids.len() as f64
     }
@@ -702,71 +566,6 @@ mod tests {
         assert!(net.node_ip_utilization(NodeId::new(0)) > 0.0);
         assert!(net.total_link_bytes() >= 100 * 64);
         assert_eq!(net.delivered_count(), 100);
-    }
-
-    #[test]
-    fn msg_slots_bounded_by_in_flight_population() {
-        // Regression test for the message free list: send 20 waves of 50
-        // messages, draining between waves. Live slot capacity must track the
-        // in-flight high-water mark (≤ one wave), not the 1000 total sent.
-        let mut net = sim4x4();
-        let mut rng = DetRng::seeded(7);
-        for wave in 0..20u64 {
-            for i in 0..50u64 {
-                let src = rng.index(16);
-                let dst = rng.index_excluding(16, src);
-                net.send(
-                    net.now(),
-                    NodeId::new(src),
-                    NodeId::new(dst),
-                    MessageClass::Request,
-                    16,
-                    wave * 50 + i,
-                );
-            }
-            net.drain();
-        }
-        assert_eq!(net.delivered_count(), 1000);
-        assert!(
-            net.msg_slot_count() <= 50,
-            "slot table grew past one wave: {}",
-            net.msg_slot_count()
-        );
-        // Everything is delivered, so every allocated slot is reusable.
-        assert_eq!(net.free_slot_count(), net.msg_slot_count());
-    }
-
-    #[test]
-    fn recycled_ids_deliver_with_correct_payloads() {
-        // After a slot is recycled its new message must carry its own
-        // src/dst/tag, not the previous occupant's.
-        let mut net = sim4x4();
-        net.send(
-            SimTime::ZERO,
-            NodeId::new(0),
-            NodeId::new(1),
-            MessageClass::Request,
-            16,
-            1,
-        );
-        let first = net.drain_deliveries();
-        assert_eq!(first[0].tag, 1);
-        let at = net.now();
-        let id = net.send(
-            at,
-            NodeId::new(2),
-            NodeId::new(7),
-            MessageClass::Forward,
-            32,
-            2,
-        );
-        assert_eq!(id, first[0].id, "slot was recycled");
-        let second = net.drain_deliveries();
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].tag, 2);
-        assert_eq!(second[0].src, NodeId::new(2));
-        assert_eq!(second[0].dst, NodeId::new(7));
-        assert_eq!(second[0].bytes, 32);
     }
 
     #[test]

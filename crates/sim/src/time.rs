@@ -58,11 +58,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// The timestamp as (floating-point) microseconds.
-    pub fn as_us(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// The timestamp as (floating-point) seconds.
     pub fn as_secs(self) -> f64 {
         self.0 as f64 / 1e12

@@ -336,6 +336,10 @@ pub fn catalog_for(cpus: usize) -> SiteCatalog {
     SiteCatalog::new(nodes, links)
 }
 
+/// The watchdog window of every chaos campaign (250 µs). A campaign
+/// requires its retry timeout to be shorter than this window.
+const WATCHDOG_WINDOW: SimDuration = SimDuration::from_ps(250_000_000);
+
 fn fresh_campaign(cpus: usize) -> FaultCampaign<FabricTopo> {
     gs1280_fault_campaign(&Gs1280::builder().cpus(cpus).build())
 }
@@ -355,7 +359,7 @@ fn trial_cfg(
         pattern: CampaignPattern::UniformRemote,
         plan,
         retry: opts.retry,
-        watchdog_window: SimDuration::from_us(250.0),
+        watchdog_window: WATCHDOG_WINDOW,
         shards,
         threads: opts.threads,
         mutation,
@@ -462,8 +466,8 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
 /// # Errors
 ///
 /// A reproducer that names an unknown mutation, a CPU count that is not a
-/// GS1280 size, zero outstanding reads, or a plan that is illegal on its
-/// machine.
+/// GS1280 size, zero outstanding reads, a retry timeout at or past the
+/// campaign's watchdog window, or a plan that is illegal on its machine.
 pub fn replay(rep: &Reproducer) -> Result<(CampaignResult, MonitorReport), String> {
     let mutation = match &rep.mutation {
         None => None,
@@ -482,6 +486,12 @@ pub fn replay(rep: &Reproducer) -> Result<(CampaignResult, MonitorReport), Strin
         return Err(format!(
             "reproducer {} allows no outstanding reads",
             rep.name
+        ));
+    }
+    if rep.retry.timeout >= WATCHDOG_WINDOW {
+        return Err(format!(
+            "reproducer {} sets a retry timeout of {} at or past the {} watchdog window",
+            rep.name, rep.retry.timeout, WATCHDOG_WINDOW
         ));
     }
     let catalog = catalog_for(rep.cpus);
@@ -649,6 +659,25 @@ mod tests {
             ..rep
         };
         assert!(replay(&rep).unwrap_err().contains("no outstanding reads"));
+    }
+
+    #[test]
+    fn replay_rejects_a_retry_timeout_past_the_watchdog_window() {
+        let rep = Reproducer {
+            name: "slow-retry".into(),
+            cpus: 16,
+            outstanding: 6,
+            requests_per_cpu: 10,
+            shards: 1,
+            retry: RetryPolicy {
+                timeout: SimDuration::from_us(250.0),
+                ..ChaosOptions::default().retry
+            },
+            mutation: None,
+            violations: vec![],
+            plan: FaultPlan::new(),
+        };
+        assert!(replay(&rep).unwrap_err().contains("watchdog window"));
     }
 
     #[test]

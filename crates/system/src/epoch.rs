@@ -1,9 +1,8 @@
 //! The epoch-parallel closed-loop campaign engine.
 //!
-//! [`crate::faulty::FaultCampaign`] used to drive one global
-//! `NetworkSim` event loop; this module partitions the same closed loop
-//! by torus row band so the conservative epoch scheduler
-//! ([`EpochExecutor`]) can advance each region on its own core:
+//! [`crate::faulty::FaultCampaign`]'s closed loop, partitioned by torus
+//! row band so the conservative epoch scheduler ([`EpochExecutor`]) can
+//! advance each region on its own core:
 //!
 //! * [`CampaignWorker`] is one region's slice of everything mutable: the
 //!   [`RegionNet`] link state, the requester-partitioned [`PendingSet`],

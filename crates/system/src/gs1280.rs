@@ -204,11 +204,6 @@ impl Gs1280 {
         &self.fabric
     }
 
-    /// The machine's physical address map.
-    pub fn address_map(&self) -> &AddressMap {
-        &self.map
-    }
-
     /// Whether memory striping is enabled.
     pub fn striping(&self) -> bool {
         self.map.interleave() == Interleave::StripedPairs

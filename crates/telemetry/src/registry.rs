@@ -33,12 +33,7 @@ impl Registry {
 
     /// Add `delta` to the named counter, creating it at zero first.
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.entry_counter(name) += delta;
-    }
-
-    /// Set the named counter to `value` (registration or overwrite).
-    pub fn counter_set(&mut self, name: &str, value: u64) {
-        *self.entry_counter(name) = value;
+        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
     }
 
     /// Raise the named high-water gauge to at least `value`.
@@ -119,10 +114,6 @@ impl Registry {
         root.insert("gauges".to_owned(), Value::Object(gauges));
         root.insert("histograms".to_owned(), Value::Object(histograms));
         Value::Object(root)
-    }
-
-    fn entry_counter(&mut self, name: &str) -> &mut u64 {
-        self.counters.entry(name.to_owned()).or_insert(0)
     }
 }
 

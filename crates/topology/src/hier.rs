@@ -89,11 +89,6 @@ impl QbbTree {
         NodeId::new(self.cpus + q)
     }
 
-    /// The global-switch node.
-    pub fn global_switch(&self) -> NodeId {
-        NodeId::new(self.cpus + self.qbbs)
-    }
-
     /// Whether two CPUs share a QBB (local vs. remote memory in Fig. 12).
     pub fn same_qbb(&self, a: NodeId, b: NodeId) -> bool {
         self.qbb_of(a) == self.qbb_of(b)

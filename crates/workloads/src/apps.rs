@@ -52,12 +52,6 @@ impl AppMachine {
         }
     }
 
-    /// Counted STREAM-triad bandwidth with `cpus` active CPUs (the
-    /// resource bound for bandwidth-limited kernels).
-    pub fn stream_gbps_public(&self, cpus: usize) -> f64 {
-        self.stream_gbps(cpus)
-    }
-
     /// Local memory load-to-use latency in ns.
     pub fn local_latency_ns(&self) -> f64 {
         match self {
